@@ -1,11 +1,12 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check vet fmt build test race fuzz chaos bench bench-all benchrot cover serve
+.PHONY: check vet fmt build test race perfbench fuzz chaos bench bench-all benchrot cover serve
 
-check: ## vet + gofmt + build + race-enabled tests + fuzz smoke + chaos smoke (the tier-1 gate)
+check: ## vet + gofmt + build + race-enabled tests + perfbench module + fuzz smoke + chaos smoke (the tier-1 gate)
 	go vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	go build ./...
 	go test -race ./...
+	$(MAKE) perfbench
 	$(MAKE) fuzz
 	$(MAKE) chaos
 
@@ -41,6 +42,11 @@ test:
 
 race:
 	go test -race ./...
+
+# perfbench/ is its own module (replace repro => ../), so the root ./...
+# patterns skip it even though it compiles against internal/vsm and friends.
+perfbench: ## vet + test the nested served-path benchmark module
+	cd perfbench && go vet ./... && go test ./...
 
 # Trajectory benchmarks: the fixed-size numbers tracked across PRs.
 # Flags are pinned so results stay comparable between runs.

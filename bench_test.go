@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -222,25 +223,31 @@ func benchStageI(b *testing.B, workers int) {
 func BenchmarkStageI_Serial(b *testing.B)   { benchStageI(b, 1) }
 func BenchmarkStageI_Parallel(b *testing.B) { benchStageI(b, 0) } // GOMAXPROCS
 
-func BenchmarkStageII_QuerySerial(b *testing.B) {
+// benchStageII scores one query against the guide's index split into
+// GOMAXPROCS shards: serial keeps the shard fan-out on the calling
+// goroutine (the batch executor's hint), otherwise it runs in parallel.
+func benchStageII(b *testing.B, serial bool) {
 	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
+	texts := g.Texts()
+	terms := make([][]string, len(texts))
+	for i, s := range texts {
+		terms[i] = textproc.NormalizeTerms(s)
+	}
+	ix := vsm.BuildShardedFromTerms(terms, nil, runtime.GOMAXPROCS(0))
+	ctx := context.Background()
+	if serial {
+		ctx = vsm.WithSerialScoring(ctx)
+	}
+	query := textproc.NormalizeTerms("minimize divergent warps caused by control flow")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.QuerySerial("minimize divergent warps caused by control flow")
+		ix.QueryAllTermsCtx(ctx, query)
 	}
 }
 
-func BenchmarkStageII_QueryParallel(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryAll("minimize divergent warps caused by control flow")
-	}
-}
+func BenchmarkStageII_QuerySerial(b *testing.B)   { benchStageII(b, true) }
+func BenchmarkStageII_QueryParallel(b *testing.B) { benchStageII(b, false) }
 
 // --- retrieval-weighting ablation -------------------------------------------
 
@@ -422,7 +429,7 @@ func BenchmarkFederatedAsk(b *testing.B) {
 	})
 }
 
-// --- Stage-II index layout: inverted postings vs dense scan ------------------
+// --- Stage-II index: threshold query over the weight tables ------------------
 
 func BenchmarkVSMInvertedIndex(b *testing.B) {
 	g, _ := setup(b)
@@ -431,16 +438,6 @@ func BenchmarkVSMInvertedIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Query("minimize divergent warps caused by control flow", vsm.DefaultThreshold)
-	}
-}
-
-func BenchmarkVSMDenseScan(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryDense("minimize divergent warps caused by control flow", vsm.DefaultThreshold)
 	}
 }
 
@@ -509,16 +506,17 @@ func BenchmarkAnnotateOnce(b *testing.B) {
 
 // --- sharded retrieval scaling ----------------------------------------------
 
-// BenchmarkShardedQuery measures Stage-II fan-out/merge cost across shard
-// counts and corpus sizes (tracked across PRs). The corpora come from the
-// same seeded generator corpusgen exposes, so the numbers are reproducible
-// from the (register, size, frac, seed) tuple. shards=1 uses the monolithic
-// Index — the baseline the sharded layouts are judged against; scores are
+// BenchmarkShardedQuery measures the two Stage-II calls the service makes
+// per query — MatchesTermsCtx at the paper's threshold (the default VSM
+// backend) and Scorer("bm25").ScoreTermsCtx (the dense BM25 slice) — across
+// shard counts and corpus sizes (tracked across PRs). The corpora come from
+// the same seeded generator corpusgen exposes, so the numbers are
+// reproducible from the (register, size, frac, seed) tuple. Scores are
 // bit-identical at every shard count, so this benchmark isolates pure
 // orchestration overhead (goroutine fan-out, k-way merge) against whatever
 // parallel speedup the host's cores provide.
 func BenchmarkShardedQuery(b *testing.B) {
-	const query = "minimize divergent warps caused by control flow"
+	query := textproc.NormalizeTerms("minimize divergent warps caused by control flow")
 	for _, nDocs := range []int{1000, 10000} {
 		g := corpus.GenerateSized(corpus.CUDA, nDocs, 0.2, 19)
 		texts := g.Texts()
@@ -529,17 +527,22 @@ func BenchmarkShardedQuery(b *testing.B) {
 			ids[i] = doc.SentenceID(fmt.Sprintf("bench-%d-%d", nDocs, i))
 		}
 		for _, nShards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("docs=%d/shards=%d", nDocs, nShards), func(b *testing.B) {
-				var ix interface{ QueryAll(string) []float64 }
-				if nShards == 1 {
-					ix = vsm.BuildFromTerms(termLists)
-				} else {
-					ix = vsm.BuildShardedFromTerms(termLists, ids, nShards)
-				}
+			ix := vsm.BuildShardedFromTerms(termLists, ids, nShards)
+			bm, err := ix.Scorer(vsm.BackendBM25)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.Run(fmt.Sprintf("docs=%d/shards=%d/vsm", nDocs, nShards), func(b *testing.B) {
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ix.QueryAll(query)
+					ix.MatchesTermsCtx(ctx, query, vsm.DefaultThreshold)
+				}
+			})
+			b.Run(fmt.Sprintf("docs=%d/shards=%d/bm25", nDocs, nShards), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bm.ScoreTermsCtx(ctx, query)
 				}
 			})
 		}

@@ -741,6 +741,29 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	return root, svc, mgr, nil
 }
 
+// Listener limits for the serving HTTP server. A client that trickles its
+// request head (slowloris) or parks an idle keep-alive connection is cut
+// off instead of holding a connection forever, and an oversized header
+// block is refused with 431. Request bodies are capped by the service and
+// handlers by -timeout, so the read and write of a request stay unbounded
+// here (a /debug/pprof/profile capture streams for 30s).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the serving http.Server with the listener limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // cmdServe runs the production serving layer: a registry warm-started from
 // the snapshot store (cold-building only what is missing or stale), the /v1
 // JSON API with query cache and admission control, the HTML webui on the
@@ -760,7 +783,7 @@ func cmdServe(fw *core.Framework, cfg serveConfig) error {
 		logger.Info("watching sources", "interval", cfg.rebuildInterval.String())
 	}
 
-	srv := &http.Server{Addr: cfg.addr, Handler: root}
+	srv := newHTTPServer(cfg.addr, root)
 	done := make(chan error, 1)
 	go func() {
 		sigc := make(chan os.Signal, 1)

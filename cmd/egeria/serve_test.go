@@ -292,6 +292,42 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// TestServeHTTPServerLimits: the serving http.Server bounds the request
+// head and idle keep-alives, and refuses an oversized header block with 431
+// before any handler runs, while an ordinary request still goes through.
+func TestServeHTTPServerLimits(t *testing.T) {
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) })
+	srv := newHTTPServer("", ok)
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("limits: ReadHeaderTimeout %v IdleTimeout %v MaxHeaderBytes %d",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.MaxHeaderBytes)
+	}
+	ts := httptest.NewUnstartedServer(ok)
+	ts.Config = srv
+	ts.Start()
+	defer ts.Close()
+	get := func(pad int) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Pad", strings.Repeat("a", pad))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(1 << 10); code != http.StatusNoContent {
+		t.Fatalf("1 KiB header: status %d, want %d", code, http.StatusNoContent)
+	}
+	if code := get(2 * maxHeaderBytes); code != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: status %d, want %d", code, http.StatusRequestHeaderFieldsTooLarge)
+	}
+}
+
 // TestServeBatchAskBackend exercises the federated serving surface end to
 // end as `egeria serve -corpora opencl` assembles it: per-query backend
 // selection on /v1/query, the /v1/batch worker pool with per-item trace

@@ -79,9 +79,9 @@ func WithParallelism(n int) Option {
 }
 
 // WithShards partitions each advisor's Stage-II index across n shards keyed
-// by stable sentence identity (<=1 keeps the monolithic index, the
-// default). Sharded retrieval is Float64bits-identical to monolithic — see
-// vsm.ShardedIndex — so this is purely a serving topology choice.
+// by stable sentence identity (<=1 keeps a single shard, the default).
+// Retrieval is Float64bits-identical at every shard count — see
+// vsm.BuildShardedFromTerms — so this is purely a serving topology choice.
 func WithShards(n int) Option {
 	return func(f *Framework) { f.shards = n }
 }
@@ -139,7 +139,7 @@ type Advisor struct {
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
 	isAdv     []bool        // per sentence index
-	index     vsm.Retriever // monolithic vsm.Index or vsm.ShardedIndex
+	index     vsm.Retriever // the Stage-II index at the framework's shard count
 	threshold float64
 	stats     BuildStats
 }
@@ -261,11 +261,7 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 	for i, an := range anns {
 		terms[i] = an.Terms()
 	}
-	if f.shards > 1 {
-		a.index = vsm.BuildShardedFromTerms(terms, a.ids, f.shards)
-	} else {
-		a.index = vsm.BuildFromTerms(terms)
-	}
+	a.index = vsm.BuildShardedFromTerms(terms, a.ids, f.shards)
 	indexSpan.Finish()
 	a.stats.Indexing = time.Since(start)
 	buildIndex.ObserveDuration(a.stats.Indexing)

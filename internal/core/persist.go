@@ -128,11 +128,7 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 		for i, s := range a.sentences {
 			a.anns[i] = nlp.FromSavedTerms(s.Text, snap.Terms[i])
 		}
-		if snap.Shards > 1 {
-			a.index = vsm.BuildShardedFromTerms(snap.Terms, a.ids, snap.Shards)
-		} else {
-			a.index = vsm.BuildFromTerms(snap.Terms)
-		}
+		a.index = vsm.BuildShardedFromTerms(snap.Terms, a.ids, snap.Shards)
 		return a, nil
 	}
 	// no stored terms: the annotations are gone and rebuilding them here

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/textproc"
@@ -16,11 +15,15 @@ const (
 	bm25B  = 0.75
 )
 
-// BM25 scores sentences with Okapi BM25 over the *same* inverted postings
-// as the TF-IDF index it derives from: every posting carries the term's raw
-// frequency alongside its cosine weight, so this view adds only the BM25
-// IDF table and the per-document length-normalization denominators — no
-// second tokenization pass, no second postings store. It is the retrieval
+// bm25Floor is BM25's admission threshold: the smallest positive float64,
+// so "score >= bm25Floor" admits exactly the strictly positive scores.
+const bm25Floor = math.SmallestNonzeroFloat64
+
+// BM25 scores sentences with Okapi BM25 over the same index as the TF-IDF
+// backend it derives from: one weight table per shard holding each
+// posting's full contribution idf·tf·(k1+1)/(tf+norm) under the global
+// document frequencies and length norms, so a query sums precomputed
+// contributions through the shared accumulator. It is the retrieval
 // ablation against the paper's TF-IDF/VSM choice (Eqs. 1-2), selectable per
 // query in the serving layer. BM25 scores are unbounded and NOT comparable
 // with cosine similarities; compare them only within this backend.
@@ -29,48 +32,55 @@ const (
 // (terms appearing in every document): their BM25 IDF log(1 + 1/(2N+1)) is
 // small but positive, matching the standard formulation.
 type BM25 struct {
-	ix   *Index
-	idf  []float64 // log((N - df + .5)/(df + .5) + 1), per term id
-	norm []float64 // k1*(1 - b + b*len/avgLen), per document
-
-	pruneOnce sync.Once // lazily-built impact-ordered pruning view
-	prune     *pruneState
+	ix *Index
+	w  [][]pruneList // per shard, per term id: BM25 contributions
 }
 
-// BM25 returns the BM25 scoring view over this index's postings, built
-// lazily on first use and cached (an Index is immutable after Build, so the
+// BM25 returns the BM25 view over this index, its weight tables built
+// lazily on first use and cached (an Index is immutable after build, so the
 // view is safe to share across goroutines).
 func (ix *Index) BM25() *BM25 {
 	ix.bm25Once.Do(func() {
-		b := &BM25{ix: ix, idf: make([]float64, len(ix.idf)), norm: make([]float64, ix.n)}
+		// document frequencies are exact integers and the total length
+		// accumulates in global document order, so every idf, norm and
+		// contribution carries the same bits at any shard count
+		df := make([]float64, len(ix.idf))
 		var total float64
-		for _, l := range ix.docLens {
-			total += float64(l)
+		for _, tc := range ix.counted {
+			total += float64(tc.total)
+			for _, t := range tc.terms {
+				df[ix.vocab[t]]++
+			}
 		}
 		var avg float64
 		if ix.n > 0 {
 			avg = total / float64(ix.n)
 		}
 		n := float64(ix.n)
-		for t := range b.idf {
-			df := float64(len(ix.postings[t]))
-			b.idf[t] = math.Log((n-df+0.5)/(df+0.5) + 1)
+		idf := make([]float64, len(df))
+		for t := range idf {
+			idf[t] = math.Log((n-df[t]+0.5)/(df[t]+0.5) + 1)
 		}
-		for d, l := range ix.docLens {
+		ix.bm25 = &BM25{ix: ix, w: ix.buildTables(func(g int32) []entry {
+			tc := ix.counted[g]
+			norm := bm25K1
 			if avg > 0 {
-				b.norm[d] = bm25K1 * (1 - bm25B + bm25B*float64(l)/avg)
-			} else {
-				b.norm[d] = bm25K1
+				norm = bm25K1 * (1 - bm25B + bm25B*float64(tc.total)/avg)
 			}
-		}
-		ix.bm25 = b
+			row := make([]entry, len(tc.terms))
+			for i, t := range tc.terms {
+				id, tf := ix.vocab[t], tc.counts[i]
+				row[i] = entry{term: id, weight: idf[id] * tf * (bm25K1 + 1) / (tf + norm)}
+			}
+			return row
+		})}
 	})
 	return ix.bm25
 }
 
 // BuildBM25 constructs a BM25 scorer over raw sentences — the standalone
 // entry point for experiments; a serving layer uses Index.BM25 so both
-// backends share one postings store.
+// backends share one index.
 func BuildBM25(sentences []string) *BM25 { return Build(sentences).BM25() }
 
 // Backend implements Scorer.
@@ -81,26 +91,19 @@ func (b *BM25) Backend() string { return BackendBM25 }
 // query model). Accumulation walks query terms in ascending term-id order,
 // so identical queries produce bit-identical scores.
 func (b *BM25) ScoreTerms(terms []string) []float64 {
-	out := make([]float64, b.ix.n)
-	for _, t := range queryIDs(b.ix.vocab, terms) {
-		idf := b.idf[t]
-		for _, p := range b.ix.postings[t] {
-			tf := float64(p.tf)
-			out[p.doc] += idf * tf * (bm25K1 + 1) / (tf + b.norm[p.doc])
-		}
-	}
-	return out
+	return b.ScoreTermsCtx(context.Background(), terms)
 }
 
-// ScoreTermsCtx implements Scorer: ScoreTerms with an optional trace span.
+// ScoreTermsCtx implements Scorer: the shard fan-out under an optional
+// "bm25.score" trace span, honoring serial scoring and per-shard fault
+// draws like the cosine path.
 func (b *BM25) ScoreTermsCtx(ctx context.Context, terms []string) []float64 {
 	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("bm25.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", b.ix.n)
+		span := b.ix.startSpan(parent, "bm25.score", terms)
 		defer span.Finish()
+		ctx = obs.ContextWithSpan(ctx, span)
 	}
-	return b.ScoreTerms(terms)
+	return b.ix.scores(ctx, b.w, b.query(terms))
 }
 
 // Scores returns the BM25 score of every sentence for raw query text.
@@ -115,102 +118,32 @@ func (b *BM25) TopK(query string, k int) []Match {
 }
 
 // TopKCtx is TopK honoring the pruning decision on ctx (default on). The
-// pruned path runs MaxScore elimination over per-term contribution lists in
-// descending contribution order; results are Float64bits-identical to
-// exhaustive scoring (see TestPruneDifferential).
+// pruned path runs MaxScore elimination over each shard's contributions in
+// descending order; results are Float64bits-identical to exhaustive
+// scoring (see TestPruneDifferential).
 func (b *BM25) TopKCtx(ctx context.Context, query string, k int) []Match {
 	if k <= 0 {
 		return nil
 	}
-	return b.topMatches(PruningOn(ctx), queryIDs(b.ix.vocab, textproc.NormalizeTerms(query)), k)
+	q := b.query(textproc.NormalizeTerms(query))
+	if len(q) == 0 {
+		return nil
+	}
+	return b.ix.matches(ctx, b.w, q, bm25Floor, k)
 }
 
-// queryIDs resolves query terms to their sorted unique vocabulary ids —
-// BM25's binary query model (duplicate terms count once).
-func queryIDs(vocab map[string]int, terms []string) []int {
+// query resolves query terms to their sorted unique vocabulary ids, each
+// with multiplier 1 — BM25's binary query model (duplicate terms count
+// once) over precomputed contributions.
+func (b *BM25) query(terms []string) []entry {
 	seen := map[int]bool{}
-	ids := make([]int, 0, len(terms))
+	q := make([]entry, 0, len(terms))
 	for _, t := range terms {
-		if id, ok := vocab[t]; ok && !seen[id] {
+		if id, ok := b.ix.vocab[t]; ok && !seen[id] {
 			seen[id] = true
-			ids = append(ids, id)
+			q = append(q, entry{term: id, weight: 1})
 		}
 	}
-	sort.Ints(ids)
-	return ids
-}
-
-// bm25Prune returns the BM25 pruning state: per-term posting contributions
-// c = idf·tf·(k1+1)/(tf+norm) precomputed with the exact float expression
-// ScoreTerms accumulates, stored in both document and descending-impact
-// order. Built lazily on first use; safe to share (BM25 is immutable).
-func (b *BM25) bm25Prune() *pruneState {
-	b.pruneOnce.Do(func() {
-		b.prune = buildBM25Prune(b.ix.postings, b.idf, b.norm, func(d int32) int32 { return d })
-	})
-	return b.prune
-}
-
-// buildBM25Prune assembles a BM25 pruning state over one partition's
-// postings. normDoc maps a partition-local document to its ordinal in the
-// norm table — the identity for a monolithic index, the local-to-global
-// remap for a shard (shards score with GLOBAL idf and norms so their
-// contributions are bit-identical to the monolithic accumulation).
-func buildBM25Prune(postings [][]posting, idf, norm []float64, normDoc func(int32) int32) *pruneState {
-	st := &pruneState{terms: make([]pruneList, len(postings))}
-	for t, posts := range postings {
-		tidf := idf[t]
-		pl := &st.terms[t]
-		pl.docs = make([]int32, len(posts))
-		pl.w = make([]float64, len(posts))
-		for i, p := range posts {
-			tf := float64(p.tf)
-			pl.docs[i] = p.doc
-			pl.w[i] = tidf * tf * (bm25K1 + 1) / (tf + norm[normDoc(p.doc)])
-		}
-		pl.buildImpactOrder()
-	}
-	return st
-}
-
-// topMatches is BM25's selection core: MaxScore over contribution-ordered
-// postings when pruning is on and the corpus is big enough, the exhaustive
-// score-filter-sort-truncate otherwise. The admission rule is strictly
-// positive score (threshold 0, strict), so every admissible document
-// appears in some query term's postings — contributions are positive.
-func (b *BM25) topMatches(prune bool, ids []int, k int) []Match {
-	if prune {
-		if b.ix.n >= minPruneDocs {
-			st := b.bm25Prune()
-			refs := make([]termRef, len(ids))
-			for i, t := range ids {
-				refs[i] = termRef{id: t, mult: 1, list: &st.terms[t]}
-			}
-			if out, skipped, ok := pruneSelect(refs, 0, true, k, b.ix.n); ok {
-				pruneQueries.Inc()
-				pruneSkipped.Add(skipped)
-				return out
-			}
-		}
-		pruneFallbacks.Inc()
-	}
-	out := make([]float64, b.ix.n)
-	for _, t := range ids {
-		idf := b.idf[t]
-		for _, p := range b.ix.postings[t] {
-			tf := float64(p.tf)
-			out[p.doc] += idf * tf * (bm25K1 + 1) / (tf + b.norm[p.doc])
-		}
-	}
-	var matches []Match
-	for i, s := range out {
-		if s > 0 {
-			matches = append(matches, Match{Index: i, Score: s})
-		}
-	}
-	sortMatches(matches)
-	if k > 0 && len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches
+	sort.Slice(q, func(i, j int) bool { return q[i].term < q[j].term })
+	return q
 }

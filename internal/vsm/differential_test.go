@@ -2,7 +2,9 @@ package vsm
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -158,6 +160,34 @@ func TestBM25MatchesNaiveReference(t *testing.T) {
 		for d := range want {
 			if math.Abs(got[d]-want[d]) > 1e-12 {
 				t.Errorf("q=%q doc %d: shared-postings %v, naive reference %v", q, d, got[d], want[d])
+			}
+		}
+	}
+}
+
+// TestBM25NaiveBitExactAcrossShards pins the precomputed BM25
+// contributions to the formula: over seeded random corpora, the served
+// scoring path (Scorer("bm25").ScoreTermsCtx, summing per-posting
+// contributions from the weight tables) must equal the from-scratch
+// reference bit for bit at every shard count.
+func TestBM25NaiveBitExactAcrossShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for round := 0; round < 50; round++ {
+		sentences := randomCorpus(rng, 5+rng.Intn(60))
+		terms := make([][]string, len(sentences))
+		for i, s := range sentences {
+			terms[i] = textproc.NormalizeTerms(s)
+		}
+		queries := randomCorpus(rng, 5)
+		for _, nShards := range []int{1, 2, 5} {
+			bm, err := BuildShardedFromTerms(terms, nil, nShards).Scorer(BackendBM25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				got := bm.ScoreTermsCtx(context.Background(), textproc.NormalizeTerms(q))
+				want := naiveBM25(sentences, q, bm25K1, bm25B)
+				sameScores(t, fmt.Sprintf("round %d shards %d q=%q", round, nShards, q), got, want)
 			}
 		}
 	}

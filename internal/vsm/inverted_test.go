@@ -2,9 +2,13 @@ package vsm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
 // randomCorpus builds n pseudo-sentences over a small shared vocabulary so
@@ -97,39 +101,72 @@ func TestInvertedTopK(t *testing.T) {
 	}
 }
 
-// TestPostingsCoverVectors: every nonzero vector component appears in its
-// term's posting list with the same weight, and posting lists are in
-// ascending document order.
+// TestPostingsCoverVectors: at every shard count, every nonzero component
+// of every recomputed document vector appears in its term's weight list of
+// the document's shard with the same weight bits; lists are in strictly
+// ascending document order, their impact order is the same postings sorted
+// by descending weight (ties by document), and maxW is the largest weight.
 func TestPostingsCoverVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ix := Build(randomCorpus(rng, 80))
-	var nPostings int
-	for term, plist := range ix.postings {
-		last := int32(-1)
-		for _, p := range plist {
-			if p.doc <= last {
-				t.Fatalf("term %d postings not strictly ascending", term)
-			}
-			last = p.doc
-			nPostings++
-			found := false
-			for _, e := range ix.vecs[p.doc] {
-				if e.term == term {
-					found = e.weight == p.weight
-					break
+	docs := randomCorpus(rng, 80)
+	// verbatim duplicates tie on every weight, pinning the impact-order
+	// tiebreak
+	docs = append(docs, docs[5], docs[17], docs[17])
+	terms := make([][]string, len(docs))
+	for i, d := range docs {
+		terms[i] = textproc.NormalizeTerms(d)
+	}
+	for _, nShards := range []int{1, 3} {
+		ix := BuildShardedFromTerms(terms, nil, nShards)
+		var nPostings int
+		for sh, tab := range ix.vsm {
+			for term, pl := range tab {
+				last := int32(-1)
+				for i, d := range pl.docs {
+					if d <= last {
+						t.Fatalf("shards %d: term %d postings not strictly ascending", nShards, term)
+					}
+					last = d
+					nPostings++
+					found := false
+					for _, e := range ix.docVec(int(ix.docs[sh][d])) {
+						if e.term == term {
+							found = math.Float64bits(e.weight) == math.Float64bits(pl.w[i])
+							break
+						}
+					}
+					if !found {
+						t.Fatalf("shards %d: posting (term %d, doc %d, w %v) missing from vector", nShards, term, d, pl.w[i])
+					}
+				}
+				if len(pl.impDocs) != len(pl.docs) || len(pl.impW) != len(pl.w) {
+					t.Fatalf("shards %d term %d: impact order has %d postings, want %d", nShards, term, len(pl.impDocs), len(pl.docs))
+				}
+				for i := range pl.impDocs {
+					if i > 0 && !(pl.impW[i-1] > pl.impW[i] || pl.impW[i-1] == pl.impW[i] && pl.impDocs[i-1] < pl.impDocs[i]) {
+						t.Fatalf("shards %d term %d: impact order broken at %d", nShards, term, i)
+					}
+					j := sort.Search(len(pl.docs), func(x int) bool { return pl.docs[x] >= pl.impDocs[i] })
+					if j == len(pl.docs) || pl.docs[j] != pl.impDocs[i] || math.Float64bits(pl.w[j]) != math.Float64bits(pl.impW[i]) {
+						t.Fatalf("shards %d term %d: impact posting %d not in document order", nShards, term, i)
+					}
+				}
+				if len(pl.impW) > 0 && math.Float64bits(pl.maxW) != math.Float64bits(pl.impW[0]) || len(pl.impW) == 0 && pl.maxW != 0 {
+					t.Fatalf("shards %d term %d: maxW %v", nShards, term, pl.maxW)
 				}
 			}
-			if !found {
-				t.Fatalf("posting (term %d, doc %d, w %v) missing from vector", term, p.doc, p.weight)
+		}
+		var nEntries int
+		for i := 0; i < ix.Len(); i++ {
+			for _, e := range ix.docVec(i) {
+				if e.weight != 0 {
+					nEntries++
+				}
 			}
 		}
-	}
-	var nEntries int
-	for _, vec := range ix.vecs {
-		nEntries += len(vec)
-	}
-	if nPostings != nEntries {
-		t.Fatalf("postings %d != vector entries %d", nPostings, nEntries)
+		if nPostings != nEntries {
+			t.Fatalf("shards %d: postings %d != vector entries %d", nShards, nPostings, nEntries)
+		}
 	}
 }
 

@@ -1,16 +1,17 @@
-// Dynamic pruning for Stage-II top-k retrieval: MaxScore-style candidate
-// elimination over impact-ordered postings (DESIGN.md §14).
+// Weight tables and selection for Stage-II retrieval: the accumulator, the
+// bounded top-k heap, and MaxScore-style candidate elimination over
+// impact-ordered weights (DESIGN.md §14), shared by both scoring backends.
 //
-// Every term's posting list is stored twice — the existing ascending
-// document order (exact rescoring) and descending contribution order (the
-// pruned walk). Per-term upper bounds let the walk skip postings that
-// provably cannot lift a document past the current k-th score or the
+// Every term's weight list is stored twice — ascending document order
+// (exact rescoring and exhaustive accumulation) and descending contribution
+// order (the pruned walk). Per-term upper bounds let the walk skip postings
+// that provably cannot lift a document past the current k-th score or the
 // recommendation threshold. The pruned path is a *candidate generator*:
 // any document it emits is rescored by the exact exhaustive accumulation
 // (ascending term-id order, the same float operations in the same order),
 // so pruning decides only WHICH documents get scored, never what score
 // they get — results are Float64bits-identical to exhaustive scoring, for
-// both the TF-IDF/cosine and BM25 backends, monolithic or sharded.
+// both the TF-IDF/cosine and BM25 backends, at any shard count.
 //
 // The exactness argument rests on one float lemma: for non-negative
 // values summed sequentially in a fixed order, replacing each addend by a
@@ -20,13 +21,15 @@
 // order exhaustive scoring uses — which makes bound >= true score hold
 // exactly in floating point, with no epsilon slack. Whenever the bound
 // math cannot guarantee exactness or cannot win (thresholds that admit
-// zero-score documents, tiny corpora, non-finite bounds), the query falls
+// zero-score documents, tiny shards, non-finite bounds), the query falls
 // back to the exhaustive path and the fallback is counted.
 package vsm
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,7 +45,7 @@ var (
 	pruneFallbacks = obs.Default().Counter("vsm_prune_fallbacks_total")
 )
 
-// minPruneDocs is the corpus size below which pruning is not attempted:
+// minPruneDocs is the shard size below which pruning is not attempted:
 // the bound bookkeeping costs more than exhaustively scoring a handful of
 // documents, so tiny corpora (and tiny shards) take the exhaustive path.
 const minPruneDocs = 32
@@ -95,13 +98,14 @@ func PruningOn(ctx context.Context) bool {
 	return on
 }
 
-// pruneList is one term's postings under one scoring backend, in the two
-// orders pruning needs: ascending document order (docs/w — binary-searched
-// during exact rescoring) and descending contribution order (impDocs/impW,
-// ties by ascending document — the impact-ordered walk). w holds the
-// per-posting score contribution before the query-side multiplier: the
-// normalized TF-IDF weight for the cosine backend, the full precomputed
-// BM25 contribution for BM25. maxW is w's maximum (0 for an empty list).
+// pruneList is one term's postings in one shard under one scoring backend,
+// in two orders: ascending local document order (docs/w — accumulated
+// exhaustively and binary-searched during exact rescoring) and descending
+// weight order (impDocs/impW, ties by ascending document — the
+// impact-ordered walk). w holds the per-posting score contribution before
+// the query-side multiplier: the normalized TF-IDF weight for the cosine
+// backend, the full precomputed BM25 contribution for BM25. maxW is w's
+// maximum (0 for an empty list). Zero weights are not stored.
 type pruneList struct {
 	docs    []int32
 	w       []float64
@@ -110,9 +114,43 @@ type pruneList struct {
 	maxW    float64
 }
 
-// pruneState is the per-backend pruning view over one index partition.
-type pruneState struct {
-	terms []pruneList // indexed by term id
+// buildTables lays a backend's per-document weight rows out as one weight
+// table per shard. row returns a document's (term id, weight) entries in
+// ascending term-id order; documents are visited in ascending local order,
+// so every list comes out in ascending document order.
+func (ix *Index) buildTables(row func(g int32) []entry) [][]pruneList {
+	tabs := make([][]pruneList, len(ix.docs))
+	for sh, docs := range ix.docs {
+		rows := make([][]entry, len(docs))
+		counts := make([]int, len(ix.idf))
+		for d, g := range docs {
+			rows[d] = row(g)
+			for _, e := range rows[d] {
+				if e.weight != 0 {
+					counts[e.term]++
+				}
+			}
+		}
+		tab := make([]pruneList, len(ix.idf))
+		for t, c := range counts {
+			tab[t].docs = make([]int32, 0, c)
+			tab[t].w = make([]float64, 0, c)
+		}
+		for d, r := range rows {
+			for _, e := range r {
+				if e.weight != 0 {
+					pl := &tab[e.term]
+					pl.docs = append(pl.docs, int32(d))
+					pl.w = append(pl.w, e.weight)
+				}
+			}
+		}
+		for t := range tab {
+			tab[t].buildImpactOrder()
+		}
+		tabs[sh] = tab
+	}
+	return tabs
 }
 
 // buildImpactOrder fills a pruneList's impact-ordered arrays (and maxW)
@@ -123,11 +161,11 @@ func (pl *pruneList) buildImpactOrder() {
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		if pl.w[ord[a]] != pl.w[ord[b]] {
-			return pl.w[ord[a]] > pl.w[ord[b]]
+	slices.SortFunc(ord, func(a, b int) int {
+		if c := cmp.Compare(pl.w[b], pl.w[a]); c != 0 {
+			return c
 		}
-		return pl.docs[ord[a]] < pl.docs[ord[b]]
+		return cmp.Compare(pl.docs[a], pl.docs[b])
 	})
 	pl.impDocs = make([]int32, n)
 	pl.impW = make([]float64, n)
@@ -140,50 +178,129 @@ func (pl *pruneList) buildImpactOrder() {
 	}
 }
 
-// vsmPrune returns the cosine-backend pruning state, built lazily on first
-// use (an Index is immutable after Build, so the state is safe to share).
-func (ix *Index) vsmPrune() *pruneState {
-	ix.pruneOnce.Do(func() {
-		st := &pruneState{terms: make([]pruneList, len(ix.postings))}
-		for t, posts := range ix.postings {
-			pl := &st.terms[t]
-			pl.docs = make([]int32, len(posts))
-			pl.w = make([]float64, len(posts))
-			for i, p := range posts {
-				pl.docs[i] = p.doc
-				pl.w[i] = p.weight
+// accumulate adds one shard's contributions q·w to scores, query terms in
+// ascending id order — the one accumulation order every scoring path
+// (dense, exhaustive, pruned rescoring) shares, which is what makes them
+// bit-identical. remap maps local documents to score slots (nil: local).
+func accumulate(scores []float64, remap []int32, tab []pruneList, q []entry) {
+	for _, e := range q {
+		pl := &tab[e.term]
+		if remap == nil {
+			for i, d := range pl.docs {
+				scores[d] += e.weight * pl.w[i]
 			}
-			pl.buildImpactOrder()
+			continue
 		}
-		ix.prune = st
-	})
-	return ix.prune
+		for i, d := range pl.docs {
+			scores[remap[d]] += e.weight * pl.w[i]
+		}
+	}
 }
 
-// termRef is one query term handed to the selection engine: its vocab id
-// (the engine requires callers to pass terms in ascending id order — the
-// exhaustive accumulation order), the query-side multiplier (contribution
-// of a posting with stored weight w is mult*w), and the term's postings.
-type termRef struct {
-	id   int
-	mult float64
-	list *pruneList
+// topK collects admitted matches: all of them when k <= 0, otherwise the k
+// best under the total match order (score desc, index asc) in a bounded
+// min-heap whose root is the weakest kept match. The order is total, so
+// bounded selection equals sort-then-truncate.
+type topK struct {
+	k    int
+	heap []Match
 }
 
-// pruneSelect is the MaxScore selection engine shared by both backends and
-// both layouts. It returns the matches exhaustive scoring would produce —
-// every document scoring past threshold (score >= threshold, or strictly
-// greater under strict), best first, truncated to k when k > 0 — plus the
-// number of postings the walk skipped. ok=false means the bound math was
-// unusable (non-finite or negative bounds) and the caller must fall back.
+// worse reports whether a ranks strictly below b in the match order.
+func worse(a, b Match) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Index > b.Index
+}
+
+// full reports whether a bounded heap holds k matches, so a new match must
+// beat the root to enter.
+func (t *topK) full() bool { return t.k > 0 && len(t.heap) == t.k }
+
+func (t *topK) offer(m Match) {
+	h := t.heap
+	switch {
+	case t.k <= 0 || len(h) < t.k:
+		h = append(h, m)
+		for i := len(h) - 1; t.k > 0 && i > 0; {
+			p := (i - 1) / 2
+			if !worse(h[i], h[p]) {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+	case worse(m, h[0]):
+		return
+	default:
+		h[0] = m
+		for i := 0; ; {
+			l, r, w := 2*i+1, 2*i+2, i
+			if l < len(h) && worse(h[l], h[w]) {
+				w = l
+			}
+			if r < len(h) && worse(h[r], h[w]) {
+				w = r
+			}
+			if w == i {
+				break
+			}
+			h[i], h[w] = h[w], h[i]
+			i = w
+		}
+	}
+	t.heap = h
+}
+
+// sorted returns the collected matches best first.
+func (t *topK) sorted() []Match {
+	sortMatches(t.heap)
+	return t.heap
+}
+
+// selectMatches is one shard's selection: every document scoring at or
+// above threshold, best first, truncated to k when k > 0, in local
+// ordinals. The pruned engine runs when pruning is requested and the gate
+// allows, exhaustive accumulation otherwise; results are
+// Float64bits-identical either way.
+func selectMatches(prune bool, tab []pruneList, q []entry, threshold float64, k, n int) []Match {
+	if prune {
+		// thresholds at or below zero admit zero-score documents, which
+		// appear in no query term's postings — candidate generation cannot
+		// see them, so those queries are exhaustive by construction
+		if threshold > 0 && n >= minPruneDocs {
+			if out, skipped, ok := pruneSelect(tab, q, threshold, k, n); ok {
+				pruneQueries.Inc()
+				pruneSkipped.Add(skipped)
+				return out
+			}
+		}
+		pruneFallbacks.Inc()
+	}
+	scores := make([]float64, n)
+	accumulate(scores, nil, tab, q)
+	top := topK{k: k}
+	for d, s := range scores {
+		if s >= threshold {
+			top.offer(Match{Index: d, Score: s})
+		}
+	}
+	return top.sorted()
+}
+
+// pruneSelect is the MaxScore selection engine shared by both backends. It
+// returns the matches exhaustive scoring would produce — every document
+// scoring at or above threshold, best first, truncated to k when k > 0 —
+// plus the number of postings the walk skipped. ok=false means the bound
+// math was unusable (non-finite or negative bounds) and the caller must
+// fall back.
 //
-// terms must be sorted by ascending id; n is the partition's document
-// count. Under strict=false the caller must guarantee threshold > 0, so
-// every admissible document appears in some query term's postings; under
-// strict=true (BM25's score-over-zero filter) the same holds because every
-// posting's contribution is positive.
-func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out []Match, skipped int64, ok bool) {
-	m := len(terms)
+// q must be sorted by ascending term id; n is the shard's document count.
+// The caller must guarantee threshold > 0, so every admissible document
+// appears in some query term's postings.
+func pruneSelect(tab []pruneList, q []entry, threshold float64, k, n int) (out []Match, skipped int64, ok bool) {
+	m := len(q)
 	if m == 0 {
 		return nil, 0, true
 	}
@@ -191,9 +308,9 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 	// contribution fl(mult*w) of term i (float multiply is monotone for
 	// non-negative operands)
 	ub := make([]float64, m)
-	for i, t := range terms {
-		ub[i] = t.mult * t.list.maxW
-		if math.IsNaN(ub[i]) || math.IsInf(ub[i], 0) || ub[i] < 0 || t.mult < 0 {
+	for i, e := range q {
+		ub[i] = e.weight * tab[e.term].maxW
+		if math.IsNaN(ub[i]) || math.IsInf(ub[i], 0) || ub[i] < 0 || e.weight < 0 {
 			return nil, 0, false
 		}
 	}
@@ -210,9 +327,9 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 		if ub[pi[a]] != ub[pi[b]] {
 			return ub[pi[a]] > ub[pi[b]]
 		}
-		return terms[pi[a]].id < terms[pi[b]].id
+		return q[pi[a]].term < q[pi[b]].term
 	})
-	// inSuffix[i] tracks whether term i (by position in terms) is in the
+	// inSuffix[i] tracks whether term i (by position in q) is in the
 	// not-yet-processed suffix pi[s:]; bound sums iterate terms in index
 	// order, which IS ascending id order — the exhaustive accumulation
 	// order the float monotonicity lemma requires.
@@ -220,10 +337,10 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 	for i := range inSuffix {
 		inSuffix[i] = true
 	}
-	// suffixBound(s, sub, c): the ascending-id-order float sum of ub over
-	// the suffix pi[s:], with position sub's slot replaced by c. A document
-	// whose matched terms all lie in the suffix, with contribution exactly
-	// c at slot sub, scores at most this bound — exactly, in floats.
+	// suffixBound(sub, c): the ascending-id-order float sum of ub over the
+	// suffix, with position sub's slot replaced by c. A document whose
+	// matched terms all lie in the suffix, with contribution exactly c at
+	// slot sub, scores at most this bound — exactly, in floats.
 	suffixBound := func(sub int, c float64) float64 {
 		var sum float64
 		for i := 0; i < m; i++ {
@@ -238,34 +355,7 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 		}
 		return sum
 	}
-
-	// bounded min-heap keyed worst-first under the total match order
-	// (score desc, index asc) — the same semantics as topMatchesVec, so
-	// bounded selection equals sort-then-truncate
-	worse := func(a, b Match) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.Index > b.Index
-	}
-	var heap []Match
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < len(heap) && worse(heap[l], heap[w]) {
-				w = l
-			}
-			if r < len(heap) && worse(heap[r], heap[w]) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			heap[i], heap[w] = heap[w], heap[i]
-			i = w
-		}
-	}
+	top := topK{k: k}
 	// canSkip reports whether a document bounded by b can be eliminated
 	// without scoring it: strictly below the admission threshold, or — once
 	// the heap is full — strictly below the k-th score. Strict-< handles
@@ -273,36 +363,21 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 	// could still win on the index tiebreak, so it is always scored. The
 	// heap root only rises, so a skip decided now stays valid later.
 	canSkip := func(b float64) bool {
-		if strict {
-			if b <= threshold {
-				return true
-			}
-		} else if b < threshold {
-			return true
-		}
-		return k > 0 && len(heap) == k && b < heap[0].Score
-	}
-	admit := func(s float64) bool {
-		if strict {
-			return s > threshold
-		}
-		return s >= threshold
+		return b < threshold || top.full() && b < top.heap[0].Score
 	}
 	// exact rescore: the same per-term contributions summed in the same
-	// ascending term-id order as the exhaustive pass (for the cosine
-	// backend mult*w == weight*mult bit-wise by commutativity of float
-	// multiplication; for BM25 mult is 1 and 1*c == c exactly). The walk
-	// already knows the contribution of the term it is walking (own, at
-	// term position pos — the identical mult*w product), so that slot
-	// skips the posting-list search.
+	// ascending term-id order as accumulate (mult*w, the identical
+	// product). The walk already knows the contribution of the term it is
+	// walking (own, at term position pos), so that slot skips the
+	// posting-list search.
 	rescore := func(d int32, pos int, own float64) float64 {
 		var s float64
-		for i := range terms {
+		for i, e := range q {
 			if i == pos {
 				s += own
 				continue
 			}
-			lst := terms[i].list
+			lst := &tab[e.term]
 			lo, hi := 0, len(lst.docs)
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
@@ -313,33 +388,10 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 				}
 			}
 			if lo < len(lst.docs) && lst.docs[lo] == d {
-				s += terms[i].mult * lst.w[lo]
+				s += e.weight * lst.w[lo]
 			}
 		}
 		return s
-	}
-	offer := func(mt Match) {
-		if k <= 0 {
-			out = append(out, mt)
-			return
-		}
-		if len(heap) < k {
-			heap = append(heap, mt)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !worse(heap[i], heap[p]) {
-					break
-				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
-			}
-			return
-		}
-		if worse(mt, heap[0]) {
-			return
-		}
-		heap[0] = mt
-		siftDown(0)
 	}
 
 	seenp := getSeen(n)
@@ -352,12 +404,12 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 		// documents already emitted are rescored exactly regardless
 		if canSkip(suffixBound(-1, 0)) {
 			for r := s; r < m; r++ {
-				skipped += int64(len(terms[pi[r]].list.impW))
+				skipped += int64(len(tab[q[pi[r]].term].impW))
 			}
 			break
 		}
-		lst := terms[pos].list
-		mult := terms[pos].mult
+		lst := &tab[q[pos].term]
+		mult := q[pos].weight
 		// impact cutoff: the walkable prefix of this term's impact-ordered
 		// list is exactly the postings whose substituted suffix bound is
 		// not skippable — the bound is monotone in w and the list is sorted
@@ -378,10 +430,10 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 				continue
 			}
 			seen[d] = true
-			if mt := (Match{Index: int(d), Score: rescore(d, pos, own)}); admit(mt.Score) {
-				was := len(heap)
-				offer(mt)
-				if k > 0 && was < k && len(heap) == k {
+			if mt := (Match{Index: int(d), Score: rescore(d, pos, own)}); mt.Score >= threshold {
+				was := top.full()
+				top.offer(mt)
+				if !was && top.full() {
 					// the heap just filled: the skip bar jumps from the
 					// admission threshold to the k-th score, so re-tighten
 					// immediately instead of waiting out the stride
@@ -396,39 +448,5 @@ func pruneSelect(terms []termRef, threshold float64, strict bool, k, n int) (out
 		skipped += int64(len(lst.impW) - j)
 		inSuffix[pos] = false
 	}
-	if k > 0 {
-		out = heap
-	}
-	sortMatches(out)
-	return out, skipped, true
-}
-
-// selectMatches is the selection core shared by the monolithic entry
-// points and each shard of a sharded fan-out: the pruned engine when
-// pruning is requested and the gate allows, the exhaustive path otherwise.
-// k > 0 bounds the result to the k best; k <= 0 keeps every match at or
-// above threshold. Results are Float64bits-identical either way.
-func (ix *Index) selectMatches(prune bool, qv []entry, threshold float64, k int) []Match {
-	if prune {
-		// thresholds at or below zero admit zero-score documents, which
-		// appear in no query term's postings — candidate generation cannot
-		// see them, so those queries are exhaustive by construction
-		if threshold > 0 && ix.n >= minPruneDocs {
-			terms := make([]termRef, len(qv))
-			st := ix.vsmPrune()
-			for i, q := range qv {
-				terms[i] = termRef{id: q.term, mult: q.weight, list: &st.terms[q.term]}
-			}
-			if out, skipped, ok := pruneSelect(terms, threshold, false, k, ix.n); ok {
-				pruneQueries.Inc()
-				pruneSkipped.Add(skipped)
-				return out
-			}
-		}
-		pruneFallbacks.Inc()
-	}
-	if k > 0 {
-		return ix.topMatchesVec(qv, threshold, k)
-	}
-	return ix.matchesVec(qv, threshold)
+	return top.sorted(), skipped, true
 }

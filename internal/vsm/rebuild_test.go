@@ -62,10 +62,14 @@ func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept, [
 	return next, kept, added
 }
 
+// sameIndex compares two indexes exhaustively: global statistics bitwise,
+// per-document counted statistics and identities, the shard layout's
+// local-to-global document maps, and both backends' weight tables in both
+// orders.
 func sameIndex(t *testing.T, got, want *Index) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("n: %d vs %d", got.n, want.n)
+	if got.n != want.n || len(got.docs) != len(want.docs) {
+		t.Fatalf("shape: n %d vs %d, shards %d vs %d", got.n, want.n, len(got.docs), len(want.docs))
 	}
 	if len(got.vocab) != len(want.vocab) {
 		t.Fatalf("vocab size: %d vs %d", len(got.vocab), len(want.vocab))
@@ -80,31 +84,70 @@ func sameIndex(t *testing.T, got, want *Index) {
 			t.Fatalf("idf[%d]: %x vs %x", id, got.idf[id], want.idf[id])
 		}
 	}
-	for i := range want.vecs {
-		if len(got.vecs[i]) != len(want.vecs[i]) {
-			t.Fatalf("vecs[%d] len: %d vs %d", i, len(got.vecs[i]), len(want.vecs[i]))
+	for i, w := range want.counted {
+		g := got.counted[i]
+		if g.total != w.total || len(g.terms) != len(w.terms) {
+			t.Fatalf("counted[%d]: total %d vs %d, %d terms vs %d", i, g.total, w.total, len(g.terms), len(w.terms))
 		}
-		for j := range want.vecs[i] {
-			g, w := got.vecs[i][j], want.vecs[i][j]
-			if g.term != w.term || math.Float64bits(g.weight) != math.Float64bits(w.weight) {
-				t.Fatalf("vecs[%d][%d]: %+v vs %+v", i, j, g, w)
+		for j := range w.terms {
+			if g.terms[j] != w.terms[j] || math.Float64bits(g.counts[j]) != math.Float64bits(w.counts[j]) {
+				t.Fatalf("counted[%d][%d]: %q/%v vs %q/%v", i, j, g.terms[j], g.counts[j], w.terms[j], w.counts[j])
 			}
 		}
-	}
-	for i := range want.docLens {
-		if got.docLens[i] != want.docLens[i] {
-			t.Fatalf("docLens[%d]: %d vs %d", i, got.docLens[i], want.docLens[i])
+		if got.ids[i] != want.ids[i] {
+			t.Fatalf("ids[%d]: %q vs %q", i, got.ids[i], want.ids[i])
 		}
 	}
-	for id := range want.postings {
-		if len(got.postings[id]) != len(want.postings[id]) {
-			t.Fatalf("postings[%d] len: %d vs %d", id, len(got.postings[id]), len(want.postings[id]))
+	for sh := range want.docs {
+		if len(got.docs[sh]) != len(want.docs[sh]) {
+			t.Fatalf("shard %d: %d docs vs %d", sh, len(got.docs[sh]), len(want.docs[sh]))
 		}
-		for j := range want.postings[id] {
-			g, w := got.postings[id][j], want.postings[id][j]
-			if g != w {
-				t.Fatalf("postings[%d][%d]: %+v vs %+v", id, j, g, w)
+		for i := range want.docs[sh] {
+			if got.docs[sh][i] != want.docs[sh][i] {
+				t.Fatalf("shard %d doc map[%d]: %d vs %d", sh, i, got.docs[sh][i], want.docs[sh][i])
 			}
+		}
+		sameTable(t, fmt.Sprintf("shard %d vsm", sh), got.vsm[sh], want.vsm[sh])
+		sameTable(t, fmt.Sprintf("shard %d bm25", sh), got.BM25().w[sh], want.BM25().w[sh])
+	}
+}
+
+// sameTable compares two weight tables term by term: document order,
+// impact order and maxW, every weight by Float64bits.
+func sameTable(t *testing.T, label string, got, want []pruneList) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d terms vs %d", label, len(got), len(want))
+	}
+	bitsEq := func(a, b []float64) bool {
+		for i := range b {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	idsEq := func(a, b []int32) bool {
+		for i := range b {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for id := range want {
+		g, w := &got[id], &want[id]
+		if len(g.docs) != len(w.docs) || len(g.w) != len(w.w) || len(g.impDocs) != len(w.impDocs) || len(g.impW) != len(w.impW) {
+			t.Fatalf("%s term %d: list lengths differ", label, id)
+		}
+		if !idsEq(g.docs, w.docs) || !bitsEq(g.w, w.w) {
+			t.Fatalf("%s term %d: document order %v/%v vs %v/%v", label, id, g.docs, g.w, w.docs, w.w)
+		}
+		if !idsEq(g.impDocs, w.impDocs) || !bitsEq(g.impW, w.impW) {
+			t.Fatalf("%s term %d: impact order %v/%v vs %v/%v", label, id, g.impDocs, g.impW, w.impDocs, w.impW)
+		}
+		if math.Float64bits(g.maxW) != math.Float64bits(w.maxW) {
+			t.Fatalf("%s term %d: maxW %x vs %x", label, id, g.maxW, w.maxW)
 		}
 	}
 }

@@ -13,7 +13,7 @@ const (
 	// similarity (Eqs. 1-2) and the 0.15 recommendation threshold. It is the
 	// default backend everywhere a backend is selectable.
 	BackendVSM = "vsm"
-	// BackendBM25 is Okapi BM25 over the same postings — the lexical
+	// BackendBM25 is Okapi BM25 over the same index — the lexical
 	// retrieval ablation, selectable per query.
 	BackendBM25 = "bm25"
 )
@@ -45,17 +45,16 @@ func ValidBackend(name string) bool {
 // Backend implements Scorer: the Index itself is the TF-IDF/cosine backend.
 func (ix *Index) Backend() string { return BackendVSM }
 
-// ScoreTermsCtx implements Scorer by delegating to QueryAllTermsCtx — the
-// exact code path Query/QueryTerms already use, so scoring through the
-// Scorer interface is bit-identical to the direct path (pinned by
-// TestScorerVSMBitIdentical).
+// ScoreTermsCtx implements Scorer by delegating to QueryAllTermsCtx, so
+// scoring through the Scorer interface is bit-identical to the direct path
+// (pinned by TestScorerVSMBitIdentical).
 func (ix *Index) ScoreTermsCtx(ctx context.Context, terms []string) []float64 {
 	return ix.QueryAllTermsCtx(ctx, terms)
 }
 
-// Scorer returns the named scoring backend over this index's postings. The
-// empty string and "vsm" return the index itself (the paper-faithful
-// default); "bm25" returns the shared-postings BM25 view. Anything else is
+// Scorer returns the named scoring backend over this index. The empty
+// string and "vsm" return the index itself (the paper-faithful default);
+// "bm25" returns the BM25 view over the same index. Anything else is
 // ErrUnknownBackend.
 func (ix *Index) Scorer(backend string) (Scorer, error) {
 	switch backend {
@@ -64,12 +63,6 @@ func (ix *Index) Scorer(backend string) (Scorer, error) {
 	case BackendBM25:
 		return ix.BM25(), nil
 	}
-	return unknownBackend(backend)
-}
-
-// unknownBackend builds the ErrUnknownBackend failure shared by every
-// Retriever's Scorer method.
-func unknownBackend(backend string) (Scorer, error) {
 	return nil, fmt.Errorf("%w: %q (have %s)", ErrUnknownBackend, backend, strings.Join(Backends(), ", "))
 }
 
@@ -78,11 +71,11 @@ func unknownBackend(backend string) (Scorer, error) {
 type serialScoringKey struct{}
 
 // WithSerialScoring marks ctx so scoring under it runs on the calling
-// goroutine instead of fanning out across GOMAXPROCS workers. A batch
-// executor that is already parallel across queries uses this to avoid
-// nested parallelism: P workers scoring serially beat P×GOMAXPROCS
+// goroutine instead of fanning out across shards in GOMAXPROCS workers. A
+// batch executor that is already parallel across queries uses this to
+// avoid nested parallelism: P workers scoring serially beat P×GOMAXPROCS
 // goroutines contending for the same cores. Scores are bit-identical to
-// the parallel pass (each document's dot product is independent).
+// the parallel pass (each shard owns a disjoint set of documents).
 func WithSerialScoring(ctx context.Context) context.Context {
 	return context.WithValue(ctx, serialScoringKey{}, true)
 }

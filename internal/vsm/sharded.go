@@ -1,17 +1,15 @@
-// Sharded retrieval: a ShardedIndex partitions the sentence set across N
-// per-shard Index values by stable sentence identity while sharing one
-// global vocabulary and one global IDF table, so every per-shard weight is
-// Float64bits-identical to the monolithic index over the same corpus
-// (DESIGN.md §13). Queries fan out across shards in a bounded worker pool
-// and merge deterministically; a shard that fails a fault-injection draw
-// degrades to partial results (its documents score zero) instead of
-// failing the query.
+// Sharded retrieval (DESIGN.md §13): an Index partitions its sentences
+// across shards by stable sentence identity under one global vocabulary and
+// IDF table, so every per-shard weight is Float64bits-identical to the
+// single-shard layout over the same corpus. Queries fan out across shards
+// in a bounded worker pool and merge deterministically; a shard that fails
+// a fault-injection draw degrades to partial results (its documents score
+// zero) instead of failing the query.
 package vsm
 
 import (
 	"context"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,7 +17,6 @@ import (
 
 	"repro/internal/doc"
 	"repro/internal/obs"
-	"repro/internal/textproc"
 )
 
 // Sharded-retrieval observability, alongside the vsm_* Stage-II metrics.
@@ -30,39 +27,12 @@ var (
 	shardFanoutHist = obs.Default().Histogram("vsm_shard_fanout_micros")
 )
 
-// ShardedIndex is a TF-IDF vector space partitioned across shards.
-//
-// Layout: documents are assigned to shards by hashing their stable
-// doc.SentenceID (falling back to the document ordinal when no identity is
-// available), so an incremental Rebuild keeps every surviving sentence in
-// its original shard. Global statistics — vocabulary, document frequencies,
-// IDF — are computed over the whole corpus once and injected into each
-// shard's build, which is what makes per-shard TF-IDF and BM25 weights
-// bit-identical to the monolithic Index (each document's weights are a
-// function of the global statistics and the document alone, and both
-// layouts accumulate them in the same ascending term-id order).
-//
-// Like Index, a ShardedIndex is immutable after build and safe for
-// concurrent queries.
-type ShardedIndex struct {
-	vocab   map[string]int
-	idf     []float64
-	shards  []*Index
-	docs    [][]int32        // per shard: local position -> global ordinal, ascending
-	ids     []doc.SentenceID // global ordinal -> identity (shard assignment key)
-	counted []*termCounts    // global order, reused by Rebuild
-	n       int
-
-	bm25Once sync.Once
-	bm25     *ShardedBM25
-}
-
-// BuildShardedFromTerms constructs a sharded index over pre-normalized term
-// lists partitioned across nShards by the aligned sentence identities. A nil
-// or misaligned ids slice falls back to ordinal-based assignment (round
+// BuildShardedFromTerms constructs an index over pre-normalized term lists
+// partitioned across nShards by the aligned sentence identities. A nil or
+// misaligned ids slice falls back to ordinal-based assignment (round
 // robin), which still balances shards but is not stable across edits;
 // nShards < 1 builds a single shard.
-func BuildShardedFromTerms(termLists [][]string, ids []doc.SentenceID, nShards int) *ShardedIndex {
+func BuildShardedFromTerms(termLists [][]string, ids []doc.SentenceID, nShards int) *Index {
 	counted := make([]*termCounts, len(termLists))
 	for i, terms := range termLists {
 		counted[i] = countTerms(terms)
@@ -87,77 +57,39 @@ func shardOf(id doc.SentenceID, ordinal, nShards int) int {
 	return int(h.Sum32() % uint32(nShards))
 }
 
-// buildSharded assembles the sharded layout: global statistics first, then
-// one buildWithStats per partition — the same per-document math as the
-// monolithic buildFromCounted, under the same statistics.
-func buildSharded(counted []*termCounts, ids []doc.SentenceID, nShards int) *ShardedIndex {
+// buildSharded assembles an index: global statistics over every document,
+// the shard assignment, and the cosine backend's weight tables.
+func buildSharded(counted []*termCounts, ids []doc.SentenceID, nShards int) *Index {
 	if nShards < 1 {
 		nShards = 1
 	}
-	vocab, idf := globalStats(counted, len(counted))
-	s := &ShardedIndex{
+	vocab, idf := globalStats(counted)
+	ix := &Index{
 		vocab:   vocab,
 		idf:     idf,
 		counted: counted,
 		ids:     ids,
+		docs:    make([][]int32, nShards),
 		n:       len(counted),
 	}
-	part := make([][]*termCounts, nShards)
-	s.docs = make([][]int32, nShards)
-	for i, tc := range counted {
+	for i := range counted {
 		sh := shardOf(ids[i], i, nShards)
-		part[sh] = append(part[sh], tc)
-		s.docs[sh] = append(s.docs[sh], int32(i))
+		ix.docs[sh] = append(ix.docs[sh], int32(i))
 	}
-	s.shards = make([]*Index, nShards)
-	for sh := range part {
-		s.shards[sh] = buildWithStats(part[sh], vocab, idf)
-	}
-	return s
+	ix.vsm = ix.buildTables(func(g int32) []entry { return ix.vectorizeCounted(counted[g]) })
+	return ix
 }
-
-// Len returns the number of sentences across all shards.
-func (s *ShardedIndex) Len() int { return s.n }
 
 // ShardCount returns the number of partitions.
-func (s *ShardedIndex) ShardCount() int { return len(s.shards) }
+func (ix *Index) ShardCount() int { return len(ix.docs) }
 
 // ShardSizes returns the per-shard document counts (diagnostics and tests).
-func (s *ShardedIndex) ShardSizes() []int {
-	sizes := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sizes[i] = sh.n
+func (ix *Index) ShardSizes() []int {
+	sizes := make([]int, len(ix.docs))
+	for i, docs := range ix.docs {
+		sizes[i] = len(docs)
 	}
 	return sizes
-}
-
-// VocabSize returns the number of distinct terms in the global vocabulary.
-func (s *ShardedIndex) VocabSize() int { return len(s.vocab) }
-
-// IDF returns the global inverse document frequency of a term (0 if unknown).
-func (s *ShardedIndex) IDF(term string) float64 {
-	if id, ok := s.vocab[term]; ok {
-		return s.idf[id]
-	}
-	return 0
-}
-
-// Rebuild constructs the successor sharded index after a document edit,
-// under the same tiling contract as Index.Rebuild. Kept sentences carry
-// their identity (and therefore their shard assignment) forward; the result
-// is bit-identical to a cold sharded build over the successor corpus because
-// it *is* one — only term counting is reused.
-func (s *ShardedIndex) Rebuild(kept []doc.Kept, added []AddedDoc) (*ShardedIndex, error) {
-	counted, ids, err := tileCounted(s.counted, s.ids, kept, added)
-	if err != nil {
-		return nil, err
-	}
-	return buildSharded(counted, ids, len(s.shards)), nil
-}
-
-// RebuildRetriever is Rebuild under the Retriever interface.
-func (s *ShardedIndex) RebuildRetriever(kept []doc.Kept, added []AddedDoc) (Retriever, error) {
-	return s.Rebuild(kept, added)
 }
 
 // shardFaultKey carries a per-shard fault draw; shardOutcomeKey carries the
@@ -266,17 +198,17 @@ func (o *ShardOutcome) recordFailure(err error) {
 // write only shard-owned state (each shard's documents map to disjoint
 // global ordinals, so per-shard writes into a shared score slice are
 // race-free).
-func (s *ShardedIndex) fanOut(ctx context.Context, fn func(sh int)) {
+func (ix *Index) fanOut(ctx context.Context, fn func(sh int)) {
 	start := time.Now()
 	defer func() { shardFanoutHist.ObserveDuration(time.Since(start)) }()
 	draw := shardFaultFrom(ctx)
 	outcome := shardOutcomeFrom(ctx)
-	outcome.setTotal(len(s.shards))
+	outcome.setTotal(len(ix.docs))
 	parent := obs.SpanFrom(ctx)
 	exec := func(sh int) {
 		span := parent.StartChild("vsm.shard")
 		span.SetAttrInt("shard", sh)
-		span.SetAttrInt("docs", s.shards[sh].n)
+		span.SetAttrInt("docs", len(ix.docs[sh]))
 		defer span.Finish()
 		if draw != nil {
 			if err := draw(); err != nil {
@@ -293,11 +225,11 @@ func (s *ShardedIndex) fanOut(ctx context.Context, fn func(sh int)) {
 	if SerialScoring(ctx) {
 		workers = 1
 	}
-	if workers > len(s.shards) {
-		workers = len(s.shards)
+	if workers > len(ix.docs) {
+		workers = len(ix.docs)
 	}
 	if workers <= 1 {
-		for sh := range s.shards {
+		for sh := range ix.docs {
 			exec(sh)
 		}
 		return
@@ -310,7 +242,7 @@ func (s *ShardedIndex) fanOut(ctx context.Context, fn func(sh int)) {
 			defer wg.Done()
 			for {
 				sh := int(atomic.AddInt32(&next, 1))
-				if sh >= len(s.shards) {
+				if sh >= len(ix.docs) {
 					return
 				}
 				exec(sh)
@@ -320,182 +252,35 @@ func (s *ShardedIndex) fanOut(ctx context.Context, fn func(sh int)) {
 	wg.Wait()
 }
 
-// QueryVector builds the normalized query vector under the global
-// vocabulary — vectorized once, shared by every shard.
-func (s *ShardedIndex) QueryVector(query string) []entry {
-	return vectorizeWith(s.vocab, s.idf, textproc.NormalizeTerms(query))
-}
-
-// scoreVec scatters per-shard dense dot products into one global score
-// slice. Each document's score is a single dot product — the same
-// accumulation as the monolithic dense scan — so the slice is bit-identical
-// to Index.QueryAll over the same corpus, in any shard count.
-func (s *ShardedIndex) scoreVec(ctx context.Context, qv []entry) []float64 {
-	scores := make([]float64, s.n)
-	if len(qv) == 0 {
+// scores computes the dense score slice of a query against one backend's
+// weight tables: each shard accumulates its documents' scores into the
+// disjoint global ordinals it owns.
+func (ix *Index) scores(ctx context.Context, tabs [][]pruneList, q []entry) []float64 {
+	scores := make([]float64, ix.n)
+	if len(q) == 0 {
 		return scores
 	}
-	s.fanOut(ctx, func(sh int) {
-		docs := s.docs[sh]
-		for li, v := range s.shards[sh].vecs {
-			scores[docs[li]] = dot(v, qv)
-		}
-	})
+	ix.fanOut(ctx, func(sh int) { accumulate(scores, ix.docs[sh], tabs[sh], q) })
 	return scores
 }
 
-// QueryAll computes the similarity of every sentence to the query across
-// all shards and returns the full global score slice.
-func (s *ShardedIndex) QueryAll(query string) []float64 {
-	return s.queryAllVec(context.Background(), s.QueryVector(query))
-}
-
-// QueryAllTerms is QueryAll over a pre-normalized query term list.
-func (s *ShardedIndex) QueryAllTerms(terms []string) []float64 {
-	return s.queryAllVec(context.Background(), s.vectorize(terms))
-}
-
-func (s *ShardedIndex) vectorize(terms []string) []entry {
-	return vectorizeWith(s.vocab, s.idf, terms)
-}
-
-func (s *ShardedIndex) queryAllVec(ctx context.Context, qv []entry) []float64 {
-	start := time.Now()
-	defer func() {
-		scoreHist.ObserveDuration(time.Since(start))
-		queriesScored.Inc()
-		shardedQueries.Inc()
-	}()
-	return s.scoreVec(ctx, qv)
-}
-
-// QueryAllTermsCtx is QueryAllTerms under a trace: the scoring pass is
-// recorded as a "vsm.score" span with a shard count attribute, and each
-// shard's pass nests under it as a "vsm.shard" child. WithSerialScoring
-// keeps the whole fan-out on the calling goroutine (scores are
-// bit-identical either way).
-func (s *ShardedIndex) QueryAllTermsCtx(ctx context.Context, terms []string) []float64 {
-	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("vsm.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", s.n)
-		span.SetAttrInt("shards", len(s.shards))
-		if SerialScoring(ctx) {
-			span.SetAttr("mode", "serial")
-		}
-		defer span.Finish()
-		ctx = obs.ContextWithSpan(ctx, span)
-	}
-	return s.queryAllVec(ctx, s.vectorize(terms))
-}
-
-// Backend implements Scorer: the ShardedIndex itself is the TF-IDF/cosine
-// backend, like the monolithic Index.
-func (s *ShardedIndex) Backend() string { return BackendVSM }
-
-// ScoreTermsCtx implements Scorer by delegating to QueryAllTermsCtx.
-func (s *ShardedIndex) ScoreTermsCtx(ctx context.Context, terms []string) []float64 {
-	return s.QueryAllTermsCtx(ctx, terms)
-}
-
-// Scorer returns the named scoring backend over the sharded layout.
-func (s *ShardedIndex) Scorer(backend string) (Scorer, error) {
-	switch backend {
-	case "", BackendVSM:
-		return s, nil
-	case BackendBM25:
-		return s.BM25(), nil
-	}
-	return unknownBackend(backend)
-}
-
-// Query returns every sentence at or above threshold across all shards,
-// merged into one globally sorted list — identical to Index.Query over the
-// same corpus (per-document scores are bit-identical, the threshold filter
-// is per-document, and the merge reproduces the same total order).
-func (s *ShardedIndex) Query(query string, threshold float64) []Match {
-	return s.QueryCtx(context.Background(), query, threshold)
-}
-
-// QueryCtx is Query honoring the pruning decision on ctx (default on):
-// each shard runs MaxScore candidate elimination against its own postings
-// before the merge. Per-shard pruning is exact per shard (same bound math
-// as the monolithic path, over shard-local lists built from global
-// statistics), so the merged result is Float64bits-identical to exhaustive
-// scoring at any shard count.
-func (s *ShardedIndex) QueryCtx(ctx context.Context, query string, threshold float64) []Match {
-	qv := s.QueryVector(query)
-	if len(qv) == 0 {
-		return nil
-	}
-	return mergeMatches(s.shardMatches(ctx, qv, threshold, 0), 0)
-}
-
-// TopK returns the k best matches at or above threshold. Each shard
-// early-exits at its own top k (a size-k bounded selection instead of a
-// full sort); the global top k is a subset of the union of per-shard top
-// ks, so the merged prefix equals the monolithic TopK exactly, including
-// tie order.
-func (s *ShardedIndex) TopK(query string, k int, threshold float64) []Match {
-	return s.TopKCtx(context.Background(), query, k, threshold)
-}
-
-// TopKCtx is TopK honoring the pruning decision on ctx (default on); see
-// QueryCtx for the per-shard pruning exactness argument.
-func (s *ShardedIndex) TopKCtx(ctx context.Context, query string, k int, threshold float64) []Match {
-	if k <= 0 {
-		return nil
-	}
-	qv := s.QueryVector(query)
-	if len(qv) == 0 {
-		return nil
-	}
-	return mergeMatches(s.shardMatches(ctx, qv, threshold, k), k)
-}
-
-// MatchesTermsCtx returns every sentence at or above threshold across all
-// shards, best first — the serving-path form of Query, honoring tracing,
-// pruning, per-shard fault draws (a failed shard contributes no matches —
-// the same partial-result degradation as the score-slice path), and the
-// scoring metrics.
-func (s *ShardedIndex) MatchesTermsCtx(ctx context.Context, terms []string, threshold float64) []Match {
+// matches collects each shard's admitted matches (score >= threshold, best
+// first, bounded to k when k > 0) through the pruning decision on ctx,
+// remaps them to global ordinals and merges them. The remap preserves sort
+// order: per-shard local ordinals are ascending in global ordinal, so
+// (score desc, local asc) maps to (score desc, global asc).
+func (ix *Index) matches(ctx context.Context, tabs [][]pruneList, q []entry, threshold float64, k int) []Match {
 	prune := PruningOn(ctx)
-	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("vsm.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", s.n)
-		span.SetAttrInt("shards", len(s.shards))
-		span.SetAttr("vsm.prune", pruneAttrVal(prune))
-		defer span.Finish()
-		ctx = obs.ContextWithSpan(ctx, span)
-	}
-	start := time.Now()
-	defer func() {
-		scoreHist.ObserveDuration(time.Since(start))
-		queriesScored.Inc()
-		shardedQueries.Inc()
-	}()
-	return mergeMatches(s.shardMatches(ctx, s.vectorize(terms), threshold, 0), 0)
-}
-
-// shardMatches collects each shard's sorted match list remapped to global
-// ordinals. k > 0 bounds each shard's list to its top k; k <= 0 keeps every
-// match. Each shard selects through its own pruning gate (per-shard bounds,
-// per-shard fallback) when the context asks for pruning. The remap
-// preserves sort order: per-shard local ordinals are ascending in global
-// ordinal, so (score desc, local asc) maps to (score desc, global asc).
-func (s *ShardedIndex) shardMatches(ctx context.Context, qv []entry, threshold float64, k int) [][]Match {
-	prune := PruningOn(ctx)
-	lists := make([][]Match, len(s.shards))
-	s.fanOut(ctx, func(sh int) {
-		local := s.shards[sh].selectMatches(prune, qv, threshold, k)
-		docs := s.docs[sh]
+	lists := make([][]Match, len(ix.docs))
+	ix.fanOut(ctx, func(sh int) {
+		docs := ix.docs[sh]
+		local := selectMatches(prune, tabs[sh], q, threshold, k, len(docs))
 		for i := range local {
 			local[i].Index = int(docs[local[i].Index])
 		}
 		lists[sh] = local
 	})
-	return lists
+	return mergeMatches(lists, k)
 }
 
 // mergeMatches k-way merges sorted match lists under the global match order
@@ -560,199 +345,4 @@ func mergeMatches(lists [][]Match, k int) []Match {
 		siftDown(0)
 	}
 	return out
-}
-
-// ShardedBM25 is the Okapi BM25 backend over a sharded layout. Its IDF
-// table derives from global document frequencies (the sum of per-shard
-// posting-list lengths — an exact integer, so equal to the monolithic df),
-// and its length norms from the global corpus average accumulated in global
-// document order; both therefore carry the exact bits of the monolithic
-// BM25 view, and per-document accumulation walks the same query terms in
-// the same ascending order — scores are Float64bits-identical.
-type ShardedBM25 struct {
-	s    *ShardedIndex
-	idf  []float64 // global BM25 IDF, per term id
-	norm []float64 // k1*(1 - b + b*len/avgLen), per global document
-
-	pruneOnce sync.Once // lazily-built per-shard impact-ordered pruning views
-	prune     []*pruneState
-}
-
-// BM25 returns the BM25 view over the sharded layout, built lazily on first
-// use and cached.
-func (s *ShardedIndex) BM25() *ShardedBM25 {
-	s.bm25Once.Do(func() {
-		b := &ShardedBM25{s: s, idf: make([]float64, len(s.idf)), norm: make([]float64, s.n)}
-		// accumulate total length in global document order — the same
-		// summation order as the monolithic BM25 build, so avg (and every
-		// norm derived from it) carries identical bits
-		var total float64
-		for _, tc := range s.counted {
-			total += float64(tc.total)
-		}
-		var avg float64
-		if s.n > 0 {
-			avg = total / float64(s.n)
-		}
-		n := float64(s.n)
-		for t := range b.idf {
-			gdf := 0
-			for _, sh := range s.shards {
-				gdf += len(sh.postings[t])
-			}
-			df := float64(gdf)
-			b.idf[t] = math.Log((n-df+0.5)/(df+0.5) + 1)
-		}
-		for d, tc := range s.counted {
-			if avg > 0 {
-				b.norm[d] = bm25K1 * (1 - bm25B + bm25B*float64(tc.total)/avg)
-			} else {
-				b.norm[d] = bm25K1
-			}
-		}
-		s.bm25 = b
-	})
-	return s.bm25
-}
-
-// Backend implements Scorer.
-func (b *ShardedBM25) Backend() string { return BackendBM25 }
-
-// ScoreTerms returns the BM25 score of every sentence across all shards for
-// a pre-normalized query term list.
-func (b *ShardedBM25) ScoreTerms(terms []string) []float64 {
-	return b.scoreTerms(context.Background(), terms)
-}
-
-// ScoreTermsCtx implements Scorer: the sharded fan-out under an optional
-// "bm25.score" trace span, honoring per-shard fault draws like the cosine
-// path.
-func (b *ShardedBM25) ScoreTermsCtx(ctx context.Context, terms []string) []float64 {
-	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("bm25.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", b.s.n)
-		span.SetAttrInt("shards", len(b.s.shards))
-		defer span.Finish()
-		ctx = obs.ContextWithSpan(ctx, span)
-	}
-	return b.scoreTerms(ctx, terms)
-}
-
-func (b *ShardedBM25) scoreTerms(ctx context.Context, terms []string) []float64 {
-	out := make([]float64, b.s.n)
-	ids := queryIDs(b.s.vocab, terms)
-	if len(ids) == 0 {
-		return out
-	}
-	b.s.fanOut(ctx, func(sh int) {
-		shard := b.s.shards[sh]
-		docs := b.s.docs[sh]
-		for _, t := range ids {
-			idf := b.idf[t]
-			for _, p := range shard.postings[t] {
-				g := docs[p.doc]
-				tf := float64(p.tf)
-				out[g] += idf * tf * (bm25K1 + 1) / (tf + b.norm[g])
-			}
-		}
-	})
-	return out
-}
-
-// Scores returns the BM25 score of every sentence for raw query text.
-func (b *ShardedBM25) Scores(query string) []float64 {
-	return b.ScoreTerms(textproc.NormalizeTerms(query))
-}
-
-// shardPrune returns the per-shard BM25 pruning states: shard-local posting
-// lists with contributions precomputed from the GLOBAL IDF table and GLOBAL
-// length norms (a shard's own BM25 view would carry shard-local statistics
-// and the wrong bits). Built lazily on first use and cached.
-func (b *ShardedBM25) shardPrune() []*pruneState {
-	b.pruneOnce.Do(func() {
-		states := make([]*pruneState, len(b.s.shards))
-		for sh, shard := range b.s.shards {
-			docs := b.s.docs[sh]
-			states[sh] = buildBM25Prune(shard.postings, b.idf, b.norm, func(d int32) int32 { return docs[d] })
-		}
-		b.prune = states
-	})
-	return b.prune
-}
-
-// TopK returns the k best-scoring sentences with positive score across all
-// shards, best first (ties by ascending index); k <= 0 returns nothing.
-// Identical to the monolithic BM25.TopK over the same corpus.
-func (b *ShardedBM25) TopK(query string, k int) []Match {
-	return b.TopKCtx(context.Background(), query, k)
-}
-
-// TopKCtx is TopK honoring the pruning decision on ctx (default on): each
-// shard selects its own top k — pruned through its contribution-ordered
-// lists or exhaustively on fallback — and the k-way merge keeps the global
-// best. Results are Float64bits-identical either way.
-func (b *ShardedBM25) TopKCtx(ctx context.Context, query string, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
-	ids := queryIDs(b.s.vocab, textproc.NormalizeTerms(query))
-	if len(ids) == 0 {
-		return nil
-	}
-	prune := PruningOn(ctx)
-	lists := make([][]Match, len(b.s.shards))
-	b.s.fanOut(ctx, func(sh int) {
-		local := b.topShard(sh, prune, ids, k)
-		docs := b.s.docs[sh]
-		for i := range local {
-			local[i].Index = int(docs[local[i].Index])
-		}
-		lists[sh] = local
-	})
-	return mergeMatches(lists, k)
-}
-
-// topShard computes one shard's top-k BM25 matches in local ordinals:
-// MaxScore elimination when pruning is on and the shard is big enough, the
-// exhaustive shard scan otherwise. Both accumulate each document's
-// contributions in ascending term-id order against global statistics, so
-// the two paths (and any shard count) agree bit-for-bit.
-func (b *ShardedBM25) topShard(sh int, prune bool, ids []int, k int) []Match {
-	shard := b.s.shards[sh]
-	docs := b.s.docs[sh]
-	if prune {
-		if shard.n >= minPruneDocs {
-			st := b.shardPrune()[sh]
-			refs := make([]termRef, len(ids))
-			for i, t := range ids {
-				refs[i] = termRef{id: t, mult: 1, list: &st.terms[t]}
-			}
-			if out, skipped, ok := pruneSelect(refs, 0, true, k, shard.n); ok {
-				pruneQueries.Inc()
-				pruneSkipped.Add(skipped)
-				return out
-			}
-		}
-		pruneFallbacks.Inc()
-	}
-	out := make([]float64, shard.n)
-	for _, t := range ids {
-		idf := b.idf[t]
-		for _, p := range shard.postings[t] {
-			tf := float64(p.tf)
-			out[p.doc] += idf * tf * (bm25K1 + 1) / (tf + b.norm[docs[p.doc]])
-		}
-	}
-	var matches []Match
-	for i, s := range out {
-		if s > 0 {
-			matches = append(matches, Match{Index: i, Score: s})
-		}
-	}
-	sortMatches(matches)
-	if len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches
 }

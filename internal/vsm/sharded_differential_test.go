@@ -176,40 +176,12 @@ func shardedEdit(rng *rand.Rand, termLists [][]string, ids []doc.SentenceID, gen
 	return next, nextIDs, kept, added
 }
 
-// sameShardedIndex compares two sharded indexes exhaustively: global
-// statistics bitwise, per-shard layouts via sameIndex, and the
-// local-to-global document maps.
-func sameShardedIndex(t *testing.T, got, want *ShardedIndex) {
+// sameShardedIndex compares two sharded indexes exhaustively; sameIndex
+// already covers the shard layout (document maps, identities, per-shard
+// tables).
+func sameShardedIndex(t *testing.T, got, want *Index) {
 	t.Helper()
-	if got.n != want.n || len(got.shards) != len(want.shards) {
-		t.Fatalf("shape: n %d vs %d, shards %d vs %d", got.n, want.n, len(got.shards), len(want.shards))
-	}
-	for term, id := range want.vocab {
-		if got.vocab[term] != id {
-			t.Fatalf("vocab[%q]: %d vs %d", term, got.vocab[term], id)
-		}
-	}
-	for id := range want.idf {
-		if math.Float64bits(got.idf[id]) != math.Float64bits(want.idf[id]) {
-			t.Fatalf("idf[%d]: %x vs %x", id, got.idf[id], want.idf[id])
-		}
-	}
-	for sh := range want.shards {
-		if len(got.docs[sh]) != len(want.docs[sh]) {
-			t.Fatalf("shard %d: %d docs vs %d", sh, len(got.docs[sh]), len(want.docs[sh]))
-		}
-		for i := range want.docs[sh] {
-			if got.docs[sh][i] != want.docs[sh][i] {
-				t.Fatalf("shard %d doc map[%d]: %d vs %d", sh, i, got.docs[sh][i], want.docs[sh][i])
-			}
-		}
-		sameIndex(t, got.shards[sh], want.shards[sh])
-	}
-	for i := range want.ids {
-		if got.ids[i] != want.ids[i] {
-			t.Fatalf("ids[%d]: %q vs %q", i, got.ids[i], want.ids[i])
-		}
-	}
+	sameIndex(t, got, want)
 }
 
 // TestShardedRebuildEqualsColdBuild: a sharded Rebuild over a random edit

@@ -14,10 +14,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Both index layouts satisfy the Retriever contract the advisor builds on.
+// The one index type satisfies the Retriever contract the advisor builds on.
 var (
 	_ Retriever = (*Index)(nil)
-	_ Retriever = (*ShardedIndex)(nil)
 )
 
 func TestShardOf(t *testing.T) {
@@ -118,13 +117,13 @@ func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 		q := diffQueries[round%len(diffQueries)]
 		qv := ix.QueryVector(q)
 		for _, threshold := range []float64{0, 0.01, DefaultThreshold} {
-			full := ix.matchesVec(qv, threshold)
+			full := selectMatches(false, ix.vsm[0], qv, threshold, 0, ix.n)
 			for _, k := range []int{1, 2, 5, 100} {
 				want := full
 				if k < len(want) {
 					want = want[:k]
 				}
-				got := ix.topMatchesVec(qv, threshold, k)
+				got := selectMatches(false, ix.vsm[0], qv, threshold, k, ix.n)
 				if len(got) != len(want) {
 					t.Fatalf("round %d k=%d th=%v: %d matches, want %d", round, k, threshold, len(got), len(want))
 				}
