@@ -1,12 +1,13 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check vet fmt build test race perfbench fuzz chaos bench bench-all benchrot cover serve
+.PHONY: check vet fmt build test race perfbench fuzz chaos bench benchlist bench-all benchrot cover serve
 
-check: ## vet + gofmt + build + race-enabled tests + perfbench module + fuzz smoke + chaos smoke (the tier-1 gate)
+check: ## vet + gofmt + build + race-enabled tests + perfbench module + tracked-benchmark list + fuzz smoke + chaos smoke (the tier-1 gate)
 	go vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	go build ./...
 	go test -race ./...
 	$(MAKE) perfbench
+	$(MAKE) benchlist
 	$(MAKE) fuzz
 	$(MAKE) chaos
 
@@ -50,9 +51,20 @@ perfbench: ## vet + test the nested served-path benchmark module
 
 # Trajectory benchmarks: the fixed-size numbers tracked across PRs.
 # Flags are pinned so results stay comparable between runs.
-BENCH_TRACKED = BenchmarkShardedQuery|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild|BenchmarkPrunedTopK
+BENCH_TRACKED = BenchmarkShardedQuery|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild
+BENCH_PKGS = . ./internal/lifecycle
 bench: ## cross-PR trajectory benchmarks (build pipeline, annotate-once, serving, lifecycle)
-	go test -run '^$$' -bench '$(BENCH_TRACKED)' -benchmem -count 1 . ./internal/lifecycle
+	go test -run '^$$' -bench '$(BENCH_TRACKED)' -benchmem -count 1 $(BENCH_PKGS)
+
+# A tracked name that matches no benchmark would drop out of `make bench`
+# without an error, so the trajectory would lose it silently.
+benchlist: ## fail if any BENCH_TRACKED name matches no benchmark in BENCH_PKGS
+	@listed="$$(go test -list '^Benchmark' $(BENCH_PKGS) | grep '^Benchmark')" || exit 1; \
+	missing=0; \
+	for name in $$(echo '$(BENCH_TRACKED)' | tr '|' ' '); do \
+		echo "$$listed" | grep -q "$$name" || { echo "BENCH_TRACKED: $$name matches no benchmark"; missing=1; }; \
+	done; \
+	exit $$missing
 
 bench-all: ## full sweep: per-table benchmarks + serving/index ablations
 	go test -run '^$$' -bench . -benchmem ./...

@@ -549,40 +549,6 @@ func BenchmarkShardedQuery(b *testing.B) {
 	}
 }
 
-// --- pruned top-k retrieval --------------------------------------------------
-
-// BenchmarkPrunedTopK contrasts MaxScore-pruned top-k selection against the
-// exhaustive score-everything baseline it is bit-identical to (tracked across
-// PRs). Same index, same query, same k — the only difference is the
-// WithPruning toggle, so the ratio is the pure win from impact-ordered
-// candidate elimination. k spans the paper's serving shape (10), the
-// degenerate best-answer case (1), and a k wide enough that pruning has
-// little room to skip (100).
-func BenchmarkPrunedTopK(b *testing.B) {
-	const query = "minimize divergent warps caused by control flow"
-	for _, nDocs := range []int{1000, 10000} {
-		g := corpus.GenerateSized(corpus.CUDA, nDocs, 0.2, 19)
-		texts := g.Texts()
-		termLists := make([][]string, len(texts))
-		for i, s := range texts {
-			termLists[i] = textproc.NormalizeTerms(s)
-		}
-		ix := vsm.BuildFromTerms(termLists)
-		for _, k := range []int{1, 10, 100} {
-			for _, mode := range []string{"pruned", "exhaustive"} {
-				b.Run(fmt.Sprintf("docs=%d/k=%d/%s", nDocs, k, mode), func(b *testing.B) {
-					ctx := vsm.WithPruning(context.Background(), mode == "pruned")
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ix.TopKCtx(ctx, query, k, vsm.DefaultThreshold)
-					}
-				})
-			}
-		}
-	}
-}
-
 // --- document-size scaling -------------------------------------------------
 
 func benchScaling(b *testing.B, n int) {

@@ -138,8 +138,8 @@ type Advisor struct {
 	ids       []doc.SentenceID  // per-sentence stable identities (aligned with sentences)
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
-	isAdv     []bool        // per sentence index
-	index     vsm.Retriever // the Stage-II index at the framework's shard count
+	isAdv     []bool     // per sentence index
+	index     *vsm.Index // the Stage-II index at the framework's shard count
 	threshold float64
 	stats     BuildStats
 }
@@ -433,10 +433,9 @@ func (a *Advisor) QueryTermsCtx(ctx context.Context, terms []string) []Answer {
 // QueryTermsWithThresholdCtx is the context-carrying form of
 // QueryTermsWithThreshold, the path the serving layer uses so a sampled
 // request's trace shows where its scoring time went. Retrieval goes through
-// vsm's match form (MatchesTermsCtx) rather than the full score slice, so a
-// context with pruning enabled — the default — lets the index skip
-// documents that provably cannot clear the threshold; answers are
-// Float64bits-identical either way.
+// vsm's match form (MatchesTermsCtx), which selects the matches per shard
+// instead of returning the full score slice; answers are
+// Float64bits-identical to filtering that slice.
 func (a *Advisor) QueryTermsWithThresholdCtx(ctx context.Context, terms []string, threshold float64) []Answer {
 	matches := a.index.MatchesTermsCtx(ctx, terms, threshold)
 	var out []Answer

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/textproc"
 	"repro/internal/vsm"
 )
 
@@ -41,9 +40,10 @@ type cacheEntry struct {
 }
 
 type flight struct {
-	done chan struct{}
-	val  []core.Answer
-	err  error
+	done    chan struct{}
+	val     []core.Answer
+	err     error
+	dropped bool // set by Invalidate under the shard lock: deliver, never insert
 }
 
 // NewCache creates a cache holding at most capacity entries spread over
@@ -76,46 +76,19 @@ func NewCache(capacity, shards int, stats *Stats) *Cache {
 	return c
 }
 
-// QueryKey derives the cache key for a query against a named advisor: the
-// normalized terms joined in order, prefixed by the advisor name.
-func QueryKey(advisor, query string) string {
-	return QueryKeyTerms(advisor, textproc.NormalizeTerms(query))
-}
-
-// QueryKeyTerms is QueryKey over an already-normalized query term list —
-// the annotate-once path: the serving layer normalizes each query exactly
-// once and reuses the terms for both the cache key and retrieval scoring.
-func QueryKeyTerms(advisor string, terms []string) string {
-	return advisor + "\x00" + strings.Join(terms, " ")
-}
-
-// QueryKeyBackend extends QueryKeyTerms with the scoring backend. The
-// default backend ("" or "vsm") keys exactly like QueryKeyTerms — the two
-// spellings share cache entries because their answers are bit-identical —
-// while alternate backends get a disjoint key space (terms never contain
-// control bytes, so the "\x00\x01" marker cannot collide with a default
-// key) under the same advisor prefix, so Invalidate drops every backend's
-// entries for an advisor in one pass.
-func QueryKeyBackend(advisor, backend string, terms []string) string {
+// queryKey derives the cache key for a query against a named advisor under
+// a scoring backend: the normalized terms joined in order, prefixed by the
+// advisor name. The default backend ("" or "vsm") keys as advisor, NUL,
+// terms — the two spellings share cache entries because their answers are
+// bit-identical — while alternate backends get a disjoint key space (terms
+// never contain control bytes, so the "\x00\x01" marker cannot collide with
+// a default key) under the same advisor prefix, so Invalidate drops every
+// backend's entries for an advisor in one pass.
+func queryKey(advisor, backend string, terms []string) string {
 	if backend == "" || backend == vsm.BackendVSM {
-		return QueryKeyTerms(advisor, terms)
+		return advisor + "\x00" + strings.Join(terms, " ")
 	}
 	return advisor + "\x00\x01" + backend + "\x00" + strings.Join(terms, " ")
-}
-
-// QueryKeyFull extends QueryKeyBackend with the pruning decision. Pruned
-// retrieval — the default — keys exactly like QueryKeyBackend, so default
-// traffic keeps its cache entries across the flag; exhaustive (?prune=off)
-// queries get a disjoint key space under the same advisor prefix ("\x00\x02"
-// after the advisor name, which no default or backend key can produce), so
-// an answer computed by one path is never served to a request that asked
-// for the other, and Invalidate still drops both in one pass.
-func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
-	key := QueryKeyBackend(advisor, backend, terms)
-	if prune {
-		return key
-	}
-	return advisor + "\x00\x02" + key[len(advisor)+1:]
 }
 
 func (c *Cache) shardFor(key string) *cacheShard {
@@ -157,9 +130,13 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]core.Answer, error)) 
 	close(fl.done)
 
 	sh.mu.Lock()
-	delete(sh.flights, key)
-	if fl.err == nil {
-		sh.insertLocked(key, fl.val, c.stats)
+	// a dropped flight computed against a replaced advisor and is no longer
+	// in the map (a newer flight may hold its key), so it leaves both alone
+	if !fl.dropped {
+		delete(sh.flights, key)
+		if fl.err == nil {
+			sh.insertLocked(key, fl.val, c.stats)
+		}
 	}
 	sh.mu.Unlock()
 	return fl.val, false, fl.err
@@ -194,7 +171,10 @@ func (c *Cache) Len() int {
 
 // Invalidate drops every entry belonging to the named advisor — called when
 // the registry hot-swaps that advisor, since cached answers reference the
-// old rule set.
+// old rule set — and returns how many it dropped. It also drops the
+// advisor's in-flight computations: their waiters still receive the result,
+// but it is never inserted, so an answer computed against the old advisor
+// cannot land in the cache after Invalidate returns.
 func (c *Cache) Invalidate(advisor string) int {
 	prefix := advisor + "\x00"
 	dropped := 0
@@ -205,6 +185,12 @@ func (c *Cache) Invalidate(advisor string) int {
 				sh.ll.Remove(el)
 				delete(sh.entries, key)
 				dropped++
+			}
+		}
+		for key, fl := range sh.flights {
+			if strings.HasPrefix(key, prefix) {
+				fl.dropped = true
+				delete(sh.flights, key)
 			}
 		}
 		sh.mu.Unlock()

@@ -7,8 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nlp"
 	"repro/internal/obs"
 )
+
+// keyOf is the default-backend cache key of a raw query, normalized the way
+// CachedQuery normalizes it.
+func keyOf(advisor, q string) string { return queryKey(advisor, "", nlp.QueryTerms(q)) }
 
 func answersOf(texts ...string) []core.Answer {
 	out := make([]core.Answer, len(texts))
@@ -21,15 +26,15 @@ func answersOf(texts ...string) []core.Answer {
 func TestQueryKeyNormalization(t *testing.T) {
 	// same advisor + same normalized terms -> same key, across casing,
 	// punctuation and inflection (Porter stemming)
-	a := QueryKey("cuda", "Avoid bank conflicts!")
-	b := QueryKey("cuda", "avoiding banks conflict")
+	a := keyOf("cuda", "Avoid bank conflicts!")
+	b := keyOf("cuda", "avoiding banks conflict")
 	if a != b {
 		t.Errorf("normalized keys differ: %q vs %q", a, b)
 	}
-	if QueryKey("cuda", "avoid bank conflicts") == QueryKey("opencl", "avoid bank conflicts") {
+	if keyOf("cuda", "avoid bank conflicts") == keyOf("opencl", "avoid bank conflicts") {
 		t.Error("keys must separate advisors")
 	}
-	if QueryKey("cuda", "memory latency") == QueryKey("cuda", "thread divergence") {
+	if keyOf("cuda", "memory latency") == keyOf("cuda", "thread divergence") {
 		t.Error("distinct queries must produce distinct keys")
 	}
 }
@@ -158,7 +163,7 @@ func TestCacheComputeErrorNotCached(t *testing.T) {
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(32, 4, newStats(obs.NewRegistry()))
 	fill := func(advisor, q string) {
-		c.GetOrCompute(QueryKey(advisor, q), func() ([]core.Answer, error) { return nil, nil })
+		c.GetOrCompute(keyOf(advisor, q), func() ([]core.Answer, error) { return nil, nil })
 	}
 	for _, q := range []string{"memory latency", "warp divergence", "bank conflicts"} {
 		fill("cuda", q)
@@ -174,10 +179,43 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Errorf("cache holds %d after invalidate, want 3 (opencl untouched)", n)
 	}
 	// the opencl entries must still hit
-	_, hit, _ := c.GetOrCompute(QueryKey("opencl", "memory latency"),
+	_, hit, _ := c.GetOrCompute(keyOf("opencl", "memory latency"),
 		func() ([]core.Answer, error) { return nil, nil })
 	if !hit {
 		t.Error("opencl entry lost by cuda invalidation")
+	}
+}
+
+// TestCacheInvalidateDropsFlight: a computation in flight when its advisor
+// is invalidated still answers its caller, but its result never enters the
+// cache, and a later miss on the same key runs a fresh computation.
+func TestCacheInvalidateDropsFlight(t *testing.T) {
+	c := NewCache(32, 4, newStats(obs.NewRegistry()))
+	key := keyOf("cuda", "memory latency")
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan []core.Answer, 1)
+	go func() {
+		val, _, _ := c.GetOrCompute(key, func() ([]core.Answer, error) {
+			close(started)
+			<-release
+			return answersOf("old"), nil
+		})
+		owner <- val
+	}()
+	<-started
+	if dropped := c.Invalidate("cuda"); dropped != 0 {
+		t.Errorf("invalidate dropped %d entries, want 0 (only a flight)", dropped)
+	}
+	close(release)
+	if val := <-owner; len(val) != 1 || val[0].Sentence.Text != "old" {
+		t.Errorf("flight result %+v not delivered to its caller", val)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("cache holds %d after an invalidated flight, want 0", n)
+	}
+	val, hit, _ := c.GetOrCompute(key, func() ([]core.Answer, error) { return answersOf("new"), nil })
+	if hit || len(val) != 1 || val[0].Sentence.Text != "new" {
+		t.Errorf("after invalidation: hit=%v val=%+v, want a fresh miss", hit, val)
 	}
 }
 

@@ -45,12 +45,6 @@ type Options struct {
 	// histograms live in, served on /metricz (default obs.Default()).
 	Metrics *obs.Registry
 
-	// NoPrune disables MaxScore pruning in Stage-II retrieval for every
-	// query that does not carry its own ?prune= override. Pruned and
-	// exhaustive retrieval return identical bytes (the parity suites prove
-	// it), so this is an operational escape hatch, not a semantic switch.
-	NoPrune bool
-
 	// Fault is the fault-injection layer (see internal/fault). nil — the
 	// production default — compiles every fault point to a single nil
 	// check, the same pattern as unsampled obs spans.
@@ -314,8 +308,7 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 	if !vsm.ValidBackend(backend) {
 		return nil, false, 0, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
 	}
-	adv, ok := s.reg.Get(advisor)
-	if !ok {
+	if _, ok := s.reg.Get(advisor); !ok {
 		return nil, false, 0, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
 	// every outcome past this point feeds the advisor's circuit breaker:
@@ -352,15 +345,7 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 	terms := nlp.QueryTerms(q)
 	annSpan.SetAttrInt("terms", len(terms))
 	annSpan.Finish()
-	// the pruning decision: the request's explicit ?prune= override wins,
-	// otherwise the server-wide default. It joins the cache key — pruned and
-	// exhaustive answers are bit-identical, but an operator comparing the two
-	// paths must never be handed a cached answer computed by the other one.
-	prune := !s.opts.NoPrune
-	if on, set := vsm.Pruning(ctx); set {
-		prune = on
-	}
-	key := QueryKeyFull(advisor, backend, prune, terms)
+	key := queryKey(advisor, backend, terms)
 	// run the lookup in a goroutine so an expired deadline returns promptly;
 	// the computation itself finishes and still populates the cache
 	type result struct {
@@ -373,6 +358,14 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 	ch := make(chan result, 1)
 	go func() {
 		a, h, e := s.cache.GetOrCompute(key, func() ([]core.Answer, error) {
+			// read the advisor only once this flight is registered: a Reload
+			// that swapped it before this read is seen here, and one that
+			// swaps it later drops the flight (Cache.Invalidate), so answers
+			// from a replaced advisor never reach the cache
+			adv, ok := s.reg.Get(advisor)
+			if !ok {
+				return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
+			}
 			// a miss runs Stage-II retrieval; the score span hangs off the
 			// cache span so a trace shows hit (no child) vs miss (scored)
 			scoreSpan := cacheSpan.StartChild("score")
@@ -387,10 +380,6 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 			bctx := obs.ContextWithSpan(context.Background(), scoreSpan)
 			if serial {
 				bctx = vsm.WithSerialScoring(bctx)
-			}
-			// pruning defaults on, so only an exhaustive run marks the ctx
-			if !prune {
-				bctx = vsm.WithPruning(bctx, false)
 			}
 			if adv.ShardCount() > 1 {
 				// sharded retrieval: the vsm.score fault point is drawn once
@@ -510,22 +499,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// absent/empty backend takes the default path and leaves the response
 	// byte-identical to a backend-unaware build (Backend marshals omitempty)
 	backend := strings.TrimSpace(r.URL.Query().Get("backend"))
-	ctx := r.Context()
-	// ?prune= is the per-request escape hatch around the server's pruning
-	// default; absent means "use the default", and the answers are identical
-	// bytes either way (only latency and vsm_prune_* metrics differ)
-	switch strings.ToLower(strings.TrimSpace(r.URL.Query().Get("prune"))) {
-	case "":
-	case "on", "true", "1":
-		ctx = vsm.WithPruning(ctx, true)
-	case "off", "false", "0":
-		ctx = vsm.WithPruning(ctx, false)
-	default:
-		writeError(w, http.StatusBadRequest, "invalid prune parameter %q (want on or off)", r.URL.Query().Get("prune"))
-		return
-	}
 	start := time.Now()
-	answers, hit, shardsFailed, err := s.CachedQueryFull(ctx, name, backend, q)
+	answers, hit, shardsFailed, err := s.CachedQueryFull(r.Context(), name, backend, q)
 	s.stats.recordQuery(time.Since(start))
 	if err != nil {
 		writeQueryError(w, err)
@@ -662,10 +637,23 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	}
 }
 
+// jsonBufs recycles writeJSON's render buffers. A buffer that grew past
+// maxPooledJSON goes to the garbage collector instead, so one outsized
+// response does not pin its memory in the pool.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 1 << 20
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// render to a buffer first so marshal errors become clean 500s
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			jsonBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)

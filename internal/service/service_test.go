@@ -16,6 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/fault"
+	"repro/internal/nlp"
 	"repro/internal/nvvp"
 	"repro/internal/obs"
 )
@@ -361,6 +363,83 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	}
 	if got, _ := svc.Registry().Get("cuda"); got != next {
 		t.Error("registry did not swap")
+	}
+}
+
+// TestReloadDuringMissServesNewAdvisor pins the reload race: a miss that
+// started against the old advisor must not leave its answers in the cache
+// once Reload returns. The fault layer's sleep hook parks the miss at a
+// chosen point — while its flight computes (vsm.score), or before its
+// flight is registered (nlp.annotate) — while Reload swaps in a new
+// advisor; after release, a query must answer with the new advisor's
+// sentences.
+func TestReloadDuringMissServesNewAdvisor(t *testing.T) {
+	const q = "memory coalescing"
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 8)
+	next := core.New().BuildFromSentences(g.Doc, g.Sentences)
+	texts := func(as []core.Answer) string {
+		var b strings.Builder
+		for _, a := range as {
+			fmt.Fprintf(&b, "%s|%x\n", a.Sentence.Text, a.Score)
+		}
+		return b.String()
+	}
+	want := texts(next.QueryTermsCtx(context.Background(), nlp.QueryTerms(q)))
+	if want == texts(e2eAdvisor(t).QueryTermsCtx(context.Background(), nlp.QueryTerms(q))) {
+		t.Fatal("fixture: old and new advisors answer the query identically")
+	}
+	for _, point := range []fault.Point{fault.VSMScore, fault.NLPAnnotate} {
+		t.Run(string(point), func(t *testing.T) {
+			reg := NewRegistry()
+			reg.Add("cuda", e2eAdvisor(t))
+			inj := fault.New(1)
+			parked, release := make(chan struct{}), make(chan struct{})
+			inj.SetSleep(func(time.Duration) {
+				close(parked)
+				<-release
+			})
+			inj.Set(point, fault.Rule{Latency: time.Nanosecond})
+			svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry()})
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := svc.CachedQuery(context.Background(), "cuda", q)
+				done <- err
+			}()
+			<-parked
+			inj.Set(point, fault.Rule{})
+			svc.Reload("cuda", next)
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("parked query: %v", err)
+			}
+			got, _, err := svc.CachedQuery(context.Background(), "cuda", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if texts(got) != want {
+				t.Errorf("after Reload the served answers are not the new advisor's:\n got %s\nwant %s", texts(got), want)
+			}
+		})
+	}
+}
+
+// TestQueryIgnoresUnknownParams: parameters the query endpoint does not
+// define, including the retired ?prune=, change neither status nor bytes.
+func TestQueryIgnoresUnknownParams(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	base := ts.URL + "/v1/cuda/query?q=memory+coalescing"
+	code, want := get(t, base)
+	if code != 200 {
+		t.Fatalf("query: %d %s", code, want)
+	}
+	for _, extra := range []string{"&prune=off", "&prune=bogus", "&frobnicate=1"} {
+		code, body := get(t, base+extra)
+		if code != 200 {
+			t.Fatalf("query%s: %d %s", extra, code, body)
+		}
+		if traceIDRe.ReplaceAllString(string(body), "") != traceIDRe.ReplaceAllString(string(want), "") {
+			t.Errorf("query%s: bytes differ from the plain query:\n%s\nvs\n%s", extra, body, want)
+		}
 	}
 }
 

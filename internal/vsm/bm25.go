@@ -33,7 +33,7 @@ const bm25Floor = math.SmallestNonzeroFloat64
 // small but positive, matching the standard formulation.
 type BM25 struct {
 	ix *Index
-	w  [][]pruneList // per shard, per term id: BM25 contributions
+	w  [][]weightList // per shard, per term id: BM25 contributions
 }
 
 // BM25 returns the BM25 view over this index, its weight tables built
@@ -117,10 +117,8 @@ func (b *BM25) TopK(query string, k int) []Match {
 	return b.TopKCtx(context.Background(), query, k)
 }
 
-// TopKCtx is TopK honoring the pruning decision on ctx (default on). The
-// pruned path runs MaxScore elimination over each shard's contributions in
-// descending order; results are Float64bits-identical to exhaustive
-// scoring (see TestPruneDifferential).
+// TopKCtx is TopK under ctx's trace, serial-scoring and per-shard fault
+// hints: each shard selects its own top k and the per-shard lists merge.
 func (b *BM25) TopKCtx(ctx context.Context, query string, k int) []Match {
 	if k <= 0 {
 		return nil

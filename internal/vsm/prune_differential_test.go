@@ -7,22 +7,14 @@ import (
 	"testing"
 )
 
-// The pruning differential suite: MaxScore candidate elimination over
-// impact-ordered postings must be Float64bits-identical to exhaustive
-// scoring — same indices, same score bits, same order — for both backends,
-// monolithic and sharded, across k values, thresholds, duplicate-score
-// ties, and chained Rebuilds. Every comparison goes through sameMatches
-// (math.Float64bits); "close" is not equivalence.
-
-// pruneOn/pruneOff pin the two paths explicitly: pruneOn forces the pruned
-// path even if a future default changes, pruneOff is the exhaustive
-// reference.
-func pruneOn() context.Context  { return WithPruning(context.Background(), true) }
-func pruneOff() context.Context { return WithPruning(context.Background(), false) }
+// The selection differential suite: bounded and sharded selection must be
+// Float64bits-identical to the monolithic exhaustive lists — same indices,
+// same score bits, same order — for both backends, across k values,
+// thresholds, duplicate-score ties, and chained Rebuilds. Every comparison
+// goes through sameMatches (math.Float64bits); "close" is not equivalence.
 
 // pruneQueriesFor exercises single-term, multi-term, zero-IDF, repeated,
-// and out-of-vocabulary queries, plus wide queries touching many terms
-// (where per-term elimination has real work to do).
+// and out-of-vocabulary queries, plus wide queries touching many terms.
 var pruneQueriesFor = append([]string{
 	"term03 term17 common",
 	"term00",
@@ -32,10 +24,8 @@ var pruneQueriesFor = append([]string{
 	"term00 term01 term02 term03 term04 term05 term06 term07 common",
 }, diffQueries...)
 
-// prunedCorpus builds a random corpus big enough to clear the pruning gate
-// on most rounds, with a few duplicated documents forcing exact score ties
-// at distinct indices (the tie cases the strict-< skip predicate must get
-// right without falling back).
+// prunedCorpus builds a random corpus with a few duplicated documents
+// forcing exact score ties at distinct indices.
 func prunedCorpus(rng *rand.Rand, n int) [][]string {
 	termLists := randomTermLists(rng, n)
 	for d := 0; d < 4 && len(termLists) > 0; d++ {
@@ -44,20 +34,22 @@ func prunedCorpus(rng *rand.Rand, n int) [][]string {
 	return termLists
 }
 
+// smallCorpus splits the suite's corpus sizes: odd rounds stay under it,
+// even rounds start at it.
+const smallCorpus = 32
+
 // TestPruneDifferential is the heart of the suite: 100 random corpora —
-// sizes straddling the minPruneDocs gate — where pruned TopK and Query
-// must reproduce the exhaustive lists exactly for VSM and BM25,
-// monolithic and sharded (1/4/8), across k in {1, 3, n, 2n} (plus k <= 0
-// returning nothing) and thresholds including the <= 0 fallback cases.
+// tiny and larger ones alternating — where bounded TopK must equal Query
+// truncated to k, and sharded (1/4/8) TopK and Query must reproduce the
+// monolithic lists exactly, for VSM and BM25, across k in {1, 3, n, 2n}
+// (plus k <= 0 returning nothing) and thresholds including <= 0.
 func TestPruneDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	gen := 0
-	before := pruneQueries.Value()
 	for round := 0; round < 100; round++ {
-		// odd rounds stay under minPruneDocs to pin the tiny-corpus fallback
 		size := 3 + rng.Intn(24)
 		if round%2 == 0 {
-			size = minPruneDocs + rng.Intn(120)
+			size = smallCorpus + rng.Intn(120)
 		}
 		termLists := prunedCorpus(rng, size)
 		ids := idsFor(len(termLists), &gen)
@@ -67,58 +59,44 @@ func TestPruneDifferential(t *testing.T) {
 		ks := []int{0, 1, 3, n, 2 * n}
 		for _, threshold := range []float64{DefaultThreshold, 0.01, 0.6, 0, -1} {
 			label := fmt.Sprintf("round %d %q thr %v", round, q, threshold)
-			wantQ := mono.QueryCtx(pruneOff(), q, threshold)
-			sameMatches(t, label+" mono Query", mono.QueryCtx(pruneOn(), q, threshold), wantQ)
+			wantQ := mono.QueryCtx(context.Background(), q, threshold)
 			for _, k := range ks {
-				wantK := mono.TopKCtx(pruneOff(), q, k, threshold)
+				wantK := wantQ[:max(0, min(k, len(wantQ)))]
 				sameMatches(t, fmt.Sprintf("%s mono TopK k=%d", label, k),
-					mono.TopKCtx(pruneOn(), q, k, threshold), wantK)
+					mono.TopKCtx(context.Background(), q, k, threshold), wantK)
 			}
 		}
 		bm := mono.BM25()
-		for _, k := range ks {
-			wantK := bm.TopKCtx(pruneOff(), q, k)
-			sameMatches(t, fmt.Sprintf("round %d %q mono bm25 TopK k=%d", round, q, k),
-				bm.TopKCtx(pruneOn(), q, k), wantK)
-		}
 		for _, nShards := range []int{1, 4, 8} {
 			sh := BuildShardedFromTerms(termLists, ids, nShards)
 			for _, threshold := range []float64{DefaultThreshold, 0, -1} {
 				label := fmt.Sprintf("round %d shards %d %q thr %v", round, nShards, q, threshold)
-				wantQ := mono.QueryCtx(pruneOff(), q, threshold)
-				sameMatches(t, label+" Query", sh.QueryCtx(pruneOn(), q, threshold), wantQ)
-				sameMatches(t, label+" Query off", sh.QueryCtx(pruneOff(), q, threshold), wantQ)
+				wantQ := mono.QueryCtx(context.Background(), q, threshold)
+				sameMatches(t, label+" Query", sh.QueryCtx(context.Background(), q, threshold), wantQ)
 				for _, k := range ks {
-					wantK := mono.TopKCtx(pruneOff(), q, k, threshold)
+					wantK := mono.TopKCtx(context.Background(), q, k, threshold)
 					sameMatches(t, fmt.Sprintf("%s TopK k=%d", label, k),
-						sh.TopKCtx(pruneOn(), q, k, threshold), wantK)
+						sh.TopKCtx(context.Background(), q, k, threshold), wantK)
 				}
 			}
 			shb := sh.BM25()
 			for _, k := range ks {
-				wantK := bm.TopKCtx(pruneOff(), q, k)
+				wantK := bm.TopKCtx(context.Background(), q, k)
 				sameMatches(t, fmt.Sprintf("round %d shards %d %q bm25 TopK k=%d", round, nShards, q, k),
-					shb.TopKCtx(pruneOn(), q, k), wantK)
-				sameMatches(t, fmt.Sprintf("round %d shards %d %q bm25 TopK off k=%d", round, nShards, q, k),
-					shb.TopKCtx(pruneOff(), q, k), wantK)
+					shb.TopKCtx(context.Background(), q, k), wantK)
 			}
 		}
-	}
-	// the suite must have actually taken the pruned path, not fallen back
-	// its way to a vacuous pass
-	if pruneQueries.Value() == before {
-		t.Fatal("pruned path never engaged across 100 rounds")
 	}
 }
 
 // TestPruneMatchesTermsParity pins the serving-path form: MatchesTermsCtx
-// (pruned and exhaustive) must equal filtering the full score slice at the
+// (monolithic and sharded) must equal filtering the full score slice at the
 // threshold — including the empty-query and threshold <= 0 edge where
 // every document scores 0 and is admitted.
 func TestPruneMatchesTermsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	gen := 0
-	termLists := prunedCorpus(rng, minPruneDocs+40)
+	termLists := prunedCorpus(rng, smallCorpus+40)
 	ids := idsFor(len(termLists), &gen)
 	mono := BuildFromTerms(termLists)
 	sh := BuildShardedFromTerms(termLists, ids, 4)
@@ -135,22 +113,19 @@ func TestPruneMatchesTermsParity(t *testing.T) {
 			}
 			sortMatches(want)
 			label := fmt.Sprintf("MatchesTerms %q thr %v", q, threshold)
-			sameMatches(t, label+" mono on", mono.MatchesTermsCtx(pruneOn(), terms, threshold), want)
-			sameMatches(t, label+" mono off", mono.MatchesTermsCtx(pruneOff(), terms, threshold), want)
-			sameMatches(t, label+" sharded on", sh.MatchesTermsCtx(pruneOn(), terms, threshold), want)
-			sameMatches(t, label+" sharded off", sh.MatchesTermsCtx(pruneOff(), terms, threshold), want)
+			sameMatches(t, label+" mono", mono.MatchesTermsCtx(context.Background(), terms, threshold), want)
+			sameMatches(t, label+" sharded", sh.MatchesTermsCtx(context.Background(), terms, threshold), want)
 		}
 	}
 }
 
 // TestPruneAcrossRebuilds chains random edits through Rebuild and checks
-// that the successor indexes — whose pruning state is rebuilt lazily from
-// the new postings — keep pruned retrieval bit-identical to exhaustive,
-// monolithic and sharded.
+// that the sharded successor keeps retrieval bit-identical to the
+// monolithic one, for both backends.
 func TestPruneAcrossRebuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	gen := 0
-	termLists := prunedCorpus(rng, minPruneDocs+60)
+	termLists := prunedCorpus(rng, smallCorpus+60)
 	ids := idsFor(len(termLists), &gen)
 	mono := BuildFromTerms(termLists)
 	sh := BuildShardedFromTerms(termLists, ids, 4)
@@ -167,67 +142,12 @@ func TestPruneAcrossRebuilds(t *testing.T) {
 		for _, q := range pruneQueriesFor {
 			for _, k := range []int{1, 3, n} {
 				label := fmt.Sprintf("step %d %q k=%d", step, q, k)
-				want := mono.TopKCtx(pruneOff(), q, k, DefaultThreshold)
-				sameMatches(t, label+" mono", mono.TopKCtx(pruneOn(), q, k, DefaultThreshold), want)
-				sameMatches(t, label+" sharded", sh.TopKCtx(pruneOn(), q, k, DefaultThreshold), want)
-				wantB := mono.BM25().TopKCtx(pruneOff(), q, k)
-				sameMatches(t, label+" bm25 mono", mono.BM25().TopKCtx(pruneOn(), q, k), wantB)
-				sameMatches(t, label+" bm25 sharded", sh.BM25().TopKCtx(pruneOn(), q, k), wantB)
+				want := mono.TopKCtx(context.Background(), q, k, DefaultThreshold)
+				sameMatches(t, label+" sharded", sh.TopKCtx(context.Background(), q, k, DefaultThreshold), want)
+				wantB := mono.BM25().TopKCtx(context.Background(), q, k)
+				sameMatches(t, label+" bm25 sharded", sh.BM25().TopKCtx(context.Background(), q, k), wantB)
 			}
 		}
 		termLists, ids = next, nextIDs
-	}
-}
-
-// TestPruneContextToggle pins the context plumbing: unset defaults to on,
-// explicit values round-trip, and PruningOn reflects them.
-func TestPruneContextToggle(t *testing.T) {
-	if on, set := Pruning(context.Background()); !on || set {
-		t.Fatalf("background: on=%v set=%v, want true/false", on, set)
-	}
-	if !PruningOn(context.Background()) {
-		t.Fatal("PruningOn(background) = false, want true (default on)")
-	}
-	for _, v := range []bool{true, false} {
-		ctx := WithPruning(context.Background(), v)
-		if on, set := Pruning(ctx); on != v || !set {
-			t.Fatalf("WithPruning(%v): on=%v set=%v", v, on, set)
-		}
-		if PruningOn(ctx) != v {
-			t.Fatalf("PruningOn(WithPruning(%v)) = %v", v, !v)
-		}
-	}
-}
-
-// TestPruneFallbackCounted pins the observability contract: a pruning
-// request the bound math cannot serve (threshold <= 0 admits zero-score
-// documents) takes the exhaustive path and counts a fallback; a servable
-// request counts a pruned query and, on a corpus with skippable postings,
-// skipped postings.
-func TestPruneFallbackCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	termLists := prunedCorpus(rng, minPruneDocs+80)
-	ix := BuildFromTerms(termLists)
-
-	fallbacks := pruneFallbacks.Value()
-	ix.TopKCtx(pruneOn(), "term03 term17", 3, 0) // threshold 0: exhaustive by construction
-	if got := pruneFallbacks.Value(); got != fallbacks+1 {
-		t.Fatalf("threshold 0 fallbacks: %d, want %d", got, fallbacks+1)
-	}
-
-	tiny := BuildFromTerms([][]string{{"alpha", "beta"}, {"beta"}, {"gamma"}, {"delta"}})
-	fallbacks = pruneFallbacks.Value()
-	tiny.TopKCtx(pruneOn(), "alpha", 2, DefaultThreshold)
-	if got := pruneFallbacks.Value(); got != fallbacks+1 {
-		t.Fatalf("tiny-corpus fallbacks: %d, want %d", got, fallbacks+1)
-	}
-
-	queries, skipped := pruneQueries.Value(), pruneSkipped.Value()
-	ix.TopKCtx(pruneOn(), "term03 term17 term25", 1, DefaultThreshold)
-	if got := pruneQueries.Value(); got != queries+1 {
-		t.Fatalf("pruned queries: %d, want %d", got, queries+1)
-	}
-	if pruneSkipped.Value() < skipped {
-		t.Fatalf("skipped postings went backwards: %d -> %d", skipped, pruneSkipped.Value())
 	}
 }

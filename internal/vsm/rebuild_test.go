@@ -112,9 +112,9 @@ func sameIndex(t *testing.T, got, want *Index) {
 	}
 }
 
-// sameTable compares two weight tables term by term: document order,
-// impact order and maxW, every weight by Float64bits.
-func sameTable(t *testing.T, label string, got, want []pruneList) {
+// sameTable compares two weight tables term by term in document order,
+// every weight by Float64bits.
+func sameTable(t *testing.T, label string, got, want []weightList) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d terms vs %d", label, len(got), len(want))
@@ -137,17 +137,11 @@ func sameTable(t *testing.T, label string, got, want []pruneList) {
 	}
 	for id := range want {
 		g, w := &got[id], &want[id]
-		if len(g.docs) != len(w.docs) || len(g.w) != len(w.w) || len(g.impDocs) != len(w.impDocs) || len(g.impW) != len(w.impW) {
+		if len(g.docs) != len(w.docs) || len(g.w) != len(w.w) {
 			t.Fatalf("%s term %d: list lengths differ", label, id)
 		}
 		if !idsEq(g.docs, w.docs) || !bitsEq(g.w, w.w) {
 			t.Fatalf("%s term %d: document order %v/%v vs %v/%v", label, id, g.docs, g.w, w.docs, w.w)
-		}
-		if !idsEq(g.impDocs, w.impDocs) || !bitsEq(g.impW, w.impW) {
-			t.Fatalf("%s term %d: impact order %v/%v vs %v/%v", label, id, g.impDocs, g.impW, w.impDocs, w.impW)
-		}
-		if math.Float64bits(g.maxW) != math.Float64bits(w.maxW) {
-			t.Fatalf("%s term %d: maxW %x vs %x", label, id, g.maxW, w.maxW)
 		}
 	}
 }

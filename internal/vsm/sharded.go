@@ -255,7 +255,7 @@ func (ix *Index) fanOut(ctx context.Context, fn func(sh int)) {
 // scores computes the dense score slice of a query against one backend's
 // weight tables: each shard accumulates its documents' scores into the
 // disjoint global ordinals it owns.
-func (ix *Index) scores(ctx context.Context, tabs [][]pruneList, q []entry) []float64 {
+func (ix *Index) scores(ctx context.Context, tabs [][]weightList, q []entry) []float64 {
 	scores := make([]float64, ix.n)
 	if len(q) == 0 {
 		return scores
@@ -265,16 +265,15 @@ func (ix *Index) scores(ctx context.Context, tabs [][]pruneList, q []entry) []fl
 }
 
 // matches collects each shard's admitted matches (score >= threshold, best
-// first, bounded to k when k > 0) through the pruning decision on ctx,
-// remaps them to global ordinals and merges them. The remap preserves sort
-// order: per-shard local ordinals are ascending in global ordinal, so
-// (score desc, local asc) maps to (score desc, global asc).
-func (ix *Index) matches(ctx context.Context, tabs [][]pruneList, q []entry, threshold float64, k int) []Match {
-	prune := PruningOn(ctx)
+// first, bounded to k when k > 0), remaps them to global ordinals and
+// merges them. The remap preserves sort order: per-shard local ordinals are
+// ascending in global ordinal, so (score desc, local asc) maps to (score
+// desc, global asc).
+func (ix *Index) matches(ctx context.Context, tabs [][]weightList, q []entry, threshold float64, k int) []Match {
 	lists := make([][]Match, len(ix.docs))
 	ix.fanOut(ctx, func(sh int) {
 		docs := ix.docs[sh]
-		local := selectMatches(prune, tabs[sh], q, threshold, k, len(docs))
+		local := selectMatches(tabs[sh], q, threshold, k, len(docs))
 		for i := range local {
 			local[i].Index = int(docs[local[i].Index])
 		}

@@ -117,13 +117,13 @@ func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 		q := diffQueries[round%len(diffQueries)]
 		qv := ix.QueryVector(q)
 		for _, threshold := range []float64{0, 0.01, DefaultThreshold} {
-			full := selectMatches(false, ix.vsm[0], qv, threshold, 0, ix.n)
+			full := selectMatches(ix.vsm[0], qv, threshold, 0, ix.n)
 			for _, k := range []int{1, 2, 5, 100} {
 				want := full
 				if k < len(want) {
 					want = want[:k]
 				}
-				got := selectMatches(false, ix.vsm[0], qv, threshold, k, ix.n)
+				got := selectMatches(ix.vsm[0], qv, threshold, k, ix.n)
 				if len(got) != len(want) {
 					t.Fatalf("round %d k=%d th=%v: %d matches, want %d", round, k, threshold, len(got), len(want))
 				}
@@ -398,6 +398,45 @@ func TestShardedParallelFanOut(t *testing.T) {
 		}
 		if inShard > 0 && inShard != len(mismatched) {
 			t.Fatalf("zeroed docs span shards: %d of %d in shard %d", inShard, len(mismatched), shd)
+		}
+	}
+}
+
+// TestMatchesTermsSpan: under a sampled trace, MatchesTermsCtx records one
+// "vsm.score" span carrying exactly the query and layout sizes, with one
+// "vsm.shard" child per shard, and answers exactly as it does untraced.
+func TestMatchesTermsSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	gen := 0
+	termLists := randomTermLists(rng, 40)
+	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 3)
+	terms := []string{"term03", "term17", "common"}
+	store := obs.NewTraceStore(obs.DefaultTraceCapacity)
+	ctx, root := obs.NewTracer(1.0, store).Start(t.Context(), "test.query")
+	got := sh.MatchesTermsCtx(ctx, terms, DefaultThreshold)
+	root.Finish()
+	sameMatches(t, "traced", got, sh.MatchesTermsCtx(context.Background(), terms, DefaultThreshold))
+
+	tr, ok := store.Get(obs.TraceID(ctx))
+	if !ok || len(tr.Root.Children) != 1 || tr.Root.Children[0].Name != "vsm.score" {
+		t.Fatalf("trace %+v: want one vsm.score child under the root", tr.Root)
+	}
+	score := tr.Root.Children[0]
+	want := map[string]string{"query_terms": "3", "docs": fmt.Sprint(sh.Len()), "shards": "3"}
+	if len(score.Attrs) != len(want) {
+		t.Errorf("vsm.score attrs %+v, want exactly %v", score.Attrs, want)
+	}
+	for _, a := range score.Attrs {
+		if want[a.Key] != a.Value {
+			t.Errorf("vsm.score attr %s=%s, want %v", a.Key, a.Value, want)
+		}
+	}
+	if len(score.Children) != 3 {
+		t.Fatalf("vsm.score has %d children, want one vsm.shard per shard", len(score.Children))
+	}
+	for _, c := range score.Children {
+		if c.Name != "vsm.shard" {
+			t.Errorf("vsm.score child %q, want vsm.shard", c.Name)
 		}
 	}
 }

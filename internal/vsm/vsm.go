@@ -12,9 +12,9 @@
 // is the 1-shard case). A scoring backend is a per-posting weight table per
 // shard: the normalized TF-IDF weight for the paper's cosine model, the
 // precomputed Okapi contribution for BM25. Both backends share one
-// accumulator, one bounded top-k selection and one MaxScore pruning walk,
-// and every query fans out over the shards. An Index is immutable after
-// build and safe for concurrent queries.
+// accumulator and one bounded top-k selection, and every query fans out
+// over the shards. An Index is immutable after build and safe for
+// concurrent queries.
 package vsm
 
 import (
@@ -62,7 +62,7 @@ type Index struct {
 	counted []*termCounts    // per document in global order, reused by Rebuild
 	ids     []doc.SentenceID // per document: stable identity (shard assignment key)
 	docs    [][]int32        // per shard: local position -> global ordinal, ascending
-	vsm     [][]pruneList    // per shard, per term id: normalized TF-IDF weights
+	vsm     [][]weightList   // per shard, per term id: normalized TF-IDF weights
 	n       int
 
 	bm25Once sync.Once // lazily-built BM25 weight tables
@@ -304,11 +304,8 @@ func (ix *Index) Query(query string, threshold float64) []Match {
 	return ix.QueryCtx(context.Background(), query, threshold)
 }
 
-// QueryCtx is Query honoring the pruning decision on ctx (default on):
-// positive thresholds take the MaxScore candidate-elimination path over the
-// impact-ordered weights, falling back to exhaustive accumulation whenever
-// the bound math cannot guarantee exactness. Pruned and exhaustive results
-// are Float64bits-identical (see TestPruneDifferential).
+// QueryCtx is Query under ctx's trace, serial-scoring and per-shard fault
+// hints.
 func (ix *Index) QueryCtx(ctx context.Context, query string, threshold float64) []Match {
 	qv := ix.vectorize(textproc.NormalizeTerms(query))
 	if len(qv) == 0 {
@@ -357,11 +354,10 @@ func (ix *Index) TopK(query string, k int, threshold float64) []Match {
 	return ix.TopKCtx(context.Background(), query, k, threshold)
 }
 
-// TopKCtx is TopK honoring the pruning decision on ctx (default on). Each
-// shard selects its own top k through a size-k heap, fed by MaxScore
-// candidate elimination when pruning applies; the global top k is a subset
-// of the union of per-shard top ks, so the merged prefix is exactly Query
-// truncated to k, including tie order.
+// TopKCtx is TopK under ctx's trace, serial-scoring and per-shard fault
+// hints. Each shard selects its own top k through a size-k heap; the global
+// top k is a subset of the union of per-shard top ks, so the merged prefix
+// is exactly Query truncated to k, including tie order.
 func (ix *Index) TopKCtx(ctx context.Context, query string, k int, threshold float64) []Match {
 	if k <= 0 {
 		return nil
@@ -375,14 +371,13 @@ func (ix *Index) TopKCtx(ctx context.Context, query string, k int, threshold flo
 
 // MatchesTermsCtx returns every sentence scoring at or above threshold
 // against pre-normalized query terms, best first — the serving-path form of
-// Query. It honors tracing, pruning, per-shard fault draws (a failed shard
-// contributes no matches), and the same score semantics as filtering
+// Query. It honors tracing, serial scoring, per-shard fault draws (a failed
+// shard contributes no matches), and the same score semantics as filtering
 // QueryAllTerms: a threshold at or below zero admits zero-score sentences,
 // so every sentence is returned.
 func (ix *Index) MatchesTermsCtx(ctx context.Context, terms []string, threshold float64) []Match {
 	if parent := obs.SpanFrom(ctx); parent != nil {
 		span := ix.startSpan(parent, "vsm.score", terms)
-		span.SetAttr("vsm.prune", pruneAttrVal(PruningOn(ctx)))
 		defer span.Finish()
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
@@ -409,14 +404,6 @@ func (ix *Index) observe(start time.Time) {
 	}
 }
 
-// pruneAttrVal renders a pruning decision as the vsm.prune span attribute.
-func pruneAttrVal(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
 func sortMatches(m []Match) {
 	sort.Slice(m, func(a, b int) bool {
 		if m[a].Score != m[b].Score {
@@ -426,9 +413,10 @@ func sortMatches(m []Match) {
 	})
 }
 
-// Retriever is the retrieval surface core.Advisor programs against. *Index
-// implements it at every shard count, with Float64bits-identical scores —
-// the shard count is a performance topology, not a semantic one.
+// Retriever is the retrieval surface of an Index, for callers outside this
+// module's packages (the perfbench module holds its indexes through it).
+// *Index implements it at every shard count, with Float64bits-identical
+// scores — the shard count is a performance topology, not a semantic one.
 type Retriever interface {
 	// Len returns the number of sentences indexed.
 	Len() int
@@ -441,8 +429,8 @@ type Retriever interface {
 	QueryAllTermsCtx(ctx context.Context, terms []string) []float64
 	// MatchesTermsCtx returns every sentence scoring at or above threshold
 	// against pre-normalized terms, best first (score desc, index asc),
-	// honoring tracing and the pruning decision on the context. Results are
-	// Float64bits-identical to filtering QueryAllTermsCtx's scores.
+	// honoring tracing on the context. Results are Float64bits-identical to
+	// filtering QueryAllTermsCtx's scores.
 	MatchesTermsCtx(ctx context.Context, terms []string, threshold float64) []Match
 	// Scorer returns the named scoring backend over this retriever.
 	Scorer(backend string) (Scorer, error)

@@ -56,9 +56,9 @@ func main() {
 	write("internal/service/testdata/fuzz/FuzzQuery", queries)
 
 	// top-k parity seeds: realistic guide corpora × guide queries, across
-	// the k / threshold / shard-count axes the pruning bound math cares
-	// about (tiny k, k past the corpus size, the paper's threshold, the
-	// exhaustive-fallback thresholds, monolithic and many-shard layouts)
+	// the k / threshold / shard-count axes (tiny k, k past the corpus size,
+	// the paper's threshold, thresholds at or below zero, monolithic and
+	// many-shard layouts)
 	var parity []topkSeed
 	for name, reg := range guides {
 		g := corpus.GenerateSized(reg, 60, 0.3, 11)
