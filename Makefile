@@ -24,6 +24,7 @@ fuzz: ## run every fuzz target for $(FUZZTIME) (default 10s each)
 	go test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/htmldoc
 	go test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/depparse
 	go test -run '^$$' -fuzz FuzzQuery -fuzztime $(FUZZTIME) ./internal/service
+	go test -run '^$$' -fuzz FuzzRenderAnswers -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzLoadAdvisor -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz FuzzTopKParity -fuzztime $(FUZZTIME) ./internal/vsm
 
@@ -51,9 +52,9 @@ perfbench: ## vet + test the nested served-path benchmark module
 
 # Trajectory benchmarks: the fixed-size numbers tracked across PRs.
 # Flags are pinned so results stay comparable between runs.
-BENCH_TRACKED = BenchmarkShardedQuery|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild
-BENCH_PKGS = . ./internal/lifecycle
-bench: ## cross-PR trajectory benchmarks (build pipeline, annotate-once, serving, lifecycle)
+BENCH_TRACKED = BenchmarkShardedQuery|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild|BenchmarkRenderQueryResponse
+BENCH_PKGS = . ./internal/lifecycle ./internal/service
+bench: ## cross-PR trajectory benchmarks (build pipeline, annotate-once, serving, response rendering, lifecycle)
 	go test -run '^$$' -bench '$(BENCH_TRACKED)' -benchmem -count 1 $(BENCH_PKGS)
 
 # A tracked name that matches no benchmark would drop out of `make bench`

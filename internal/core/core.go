@@ -22,8 +22,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -435,16 +437,30 @@ func (a *Advisor) QueryTermsCtx(ctx context.Context, terms []string) []Answer {
 // request's trace shows where its scoring time went. Retrieval goes through
 // vsm's match form (MatchesTermsCtx), which selects the matches per shard
 // instead of returning the full score slice; answers are
-// Float64bits-identical to filtering that slice.
+// Float64bits-identical to filtering that slice. The matches arrive in
+// answer order (score desc, index asc) and filtering keeps it, so the
+// answers need no sort. The answers are sized exactly: the service caches
+// them, and most matches of a large guide are not advising sentences.
 func (a *Advisor) QueryTermsWithThresholdCtx(ctx context.Context, terms []string, threshold float64) []Answer {
 	matches := a.index.MatchesTermsCtx(ctx, terms, threshold)
-	var out []Answer
+	n := 0
 	for _, m := range matches {
+		if a.IsAdvising(m.Index) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Answer, 0, n)
+	for _, m := range matches {
+		if !a.IsAdvising(m.Index) {
+			continue
+		}
 		if adv, ok := a.advisingAt(m.Index); ok {
 			out = append(out, Answer{Sentence: adv, Score: m.Score})
 		}
 	}
-	sortAnswers(out)
 	return out
 }
 
@@ -525,11 +541,11 @@ func (a *Advisor) FullDocQuery(q string, threshold float64) []Answer {
 
 // sortAnswers orders answers best-first, ties broken by document order.
 func sortAnswers(out []Answer) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(x, y Answer) int {
+		if c := cmp.Compare(y.Score, x.Score); c != 0 {
+			return c
 		}
-		return out[i].Sentence.Index < out[j].Sentence.Index
+		return cmp.Compare(x.Sentence.Index, y.Sentence.Index)
 	})
 }
 

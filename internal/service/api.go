@@ -9,7 +9,9 @@ import (
 
 // The /v1 wire types. Marshaling with encoding/json is deterministic (struct
 // field order), so identical answers marshal to byte-identical bodies — the
-// property the cache relies on for reproducible responses.
+// property the cache relies on for reproducible responses. The query, batch
+// and report bodies are assembled from per-rule fragments instead
+// (render.go), to exactly the bytes encoding/json gives for these types.
 
 // AdvisorInfo is one element of GET /v1/advisors.
 type AdvisorInfo struct {

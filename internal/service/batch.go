@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/vsm"
 )
@@ -65,8 +66,21 @@ type BatchResponse struct {
 // order. Item failures (unknown advisor, unknown backend, empty query,
 // overload, timeout) are recorded per item, never returned as an error.
 func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResult {
+	results, answers := s.batch(ctx, items)
+	for i := range results {
+		if results[i].Error == "" {
+			results[i].Answers = toAnswers(answers[i])
+		}
+	}
+	return results
+}
+
+// batch is Batch with each item's answers returned beside its result, as
+// core answers for the response renderer; the results' Answers are unset.
+func (s *Service) batch(ctx context.Context, items []BatchItem) ([]BatchItemResult, [][]core.Answer) {
 	parent := obs.SpanFrom(ctx)
 	results := make([]BatchItemResult, len(items))
+	answers := make([][]core.Answer, len(items))
 	workers := s.opts.BatchWorkers
 	if workers > len(items) {
 		workers = len(items)
@@ -93,18 +107,18 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 				if i >= len(items) {
 					return
 				}
-				results[i] = s.batchItem(wctx, parent, i, items[i], share)
+				results[i], answers[i] = s.batchItem(wctx, parent, i, items[i], share)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
+	return results, answers
 }
 
 // batchItem answers one batch item under its own trace ID, span, and time
 // share, so each item is individually attributable in traces and responses
 // and cannot consume the budget of the items behind it.
-func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, share time.Duration) BatchItemResult {
+func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, share time.Duration) (BatchItemResult, []core.Answer) {
 	res := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend}
 	span := parent.StartChild("batch.item")
 	defer span.Finish()
@@ -122,23 +136,22 @@ func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item B
 	if strings.TrimSpace(item.Query) == "" {
 		res.Error = "empty query"
 		span.SetAttr("outcome", "error")
-		return res
+		return res, nil
 	}
 	answers, hit, err := s.CachedQueryBackend(ctx, item.Advisor, item.Backend, item.Query)
 	if err != nil {
 		res.Error = err.Error()
 		span.SetAttr("outcome", "error")
-		return res
+		return res, nil
 	}
 	res.Count = len(answers)
-	res.Answers = toAnswers(answers)
 	if hit {
 		res.Cache = "hit"
 	} else {
 		res.Cache = "miss"
 	}
 	span.SetAttr("cache", res.Cache)
-	return res
+	return res, answers
 }
 
 // handleBatch decodes, bounds, and answers POST /v1/batch.
@@ -170,7 +183,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// per-wave item shares
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	results := s.Batch(ctx, req.Queries)
+	results, answers := s.batch(ctx, req.Queries)
 	s.stats.recordBatch(time.Since(start), len(results))
 	nerr := 0
 	for i := range results {
@@ -178,10 +191,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			nerr++
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
+	resp := BatchResponse{
 		Count:   len(results),
 		Errors:  nerr,
 		Results: results,
 		TraceID: obs.TraceID(r.Context()),
-	})
+	}
+	writeRendered(w, http.StatusOK, func(b bodyWriter) error { return b.batch(s.reg.fragments, &resp, answers) })
 }

@@ -25,13 +25,20 @@ import (
 // advisor in atomically.
 type Registry struct {
 	mu       sync.RWMutex
-	advisors map[string]*core.Advisor
+	advisors map[string]registered
 	logf     func(format string, args ...any) // hot-swap log; nil = silent
+}
+
+// registered is one advisor with its rules' JSON fragments, rendered when
+// the advisor enters the registry (see render.go).
+type registered struct {
+	adv   *core.Advisor
+	frags *ruleFrags
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{advisors: make(map[string]*core.Advisor)}
+	return &Registry{advisors: make(map[string]registered)}
 }
 
 // SetLogf installs the sink for hot-swap log lines
@@ -46,17 +53,27 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 // without diffing (use Replace for the logged hot-swap path).
 func (r *Registry) Add(name string, a *core.Advisor) {
 	a.SetName(name)
+	e := registered{adv: a, frags: newRuleFrags(a.Rules())}
 	r.mu.Lock()
-	r.advisors[name] = a
+	r.advisors[name] = e
 	r.mu.Unlock()
 }
 
 // Get returns the advisor registered under name.
 func (r *Registry) Get(name string) (*core.Advisor, bool) {
 	r.mu.RLock()
-	a, ok := r.advisors[name]
+	e, ok := r.advisors[name]
 	r.mu.RUnlock()
-	return a, ok
+	return e.adv, ok
+}
+
+// fragments returns the rule fragment table of the advisor registered under
+// name (nil when there is none).
+func (r *Registry) fragments(name string) *ruleFrags {
+	r.mu.RLock()
+	e := r.advisors[name]
+	r.mu.RUnlock()
+	return e.frags
 }
 
 // Names returns the registered advisor names, sorted.
@@ -85,9 +102,10 @@ func (r *Registry) Len() int {
 // "reloaded cuda: 3 added, 1 removed" line.
 func (r *Registry) Replace(name string, next *core.Advisor) core.RulesDiff {
 	next.SetName(name)
+	e := registered{adv: next, frags: newRuleFrags(next.Rules())}
 	r.mu.Lock()
-	prev := r.advisors[name]
-	r.advisors[name] = next
+	prev := r.advisors[name].adv
+	r.advisors[name] = e
 	logf := r.logf
 	r.mu.Unlock()
 	var diff core.RulesDiff

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -511,15 +510,16 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
+	resp := QueryResponse{
 		Advisor:      name,
 		Query:        q,
 		Backend:      backend,
 		Count:        len(answers),
-		Answers:      toAnswers(answers),
 		ShardsFailed: shardsFailed,
 		TraceID:      obs.TraceID(r.Context()),
-	})
+	}
+	frags := s.reg.fragments(name)
+	writeRendered(w, http.StatusOK, func(b bodyWriter) error { return b.query(frags, &resp, answers) })
 }
 
 // handleBackends lists the scoring backends every advisor offers, default
@@ -550,6 +550,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	resp := ReportResponse{Advisor: name, Program: report.Program, TraceID: obs.TraceID(r.Context())}
+	var issueAnswers [][]core.Answer
 	for _, issue := range report.Issues() {
 		answers, _, err := s.CachedQuery(r.Context(), name, issue.Query())
 		if err != nil {
@@ -561,11 +562,12 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 			Title:   issue.Title,
 			Section: issue.Section,
 			Count:   len(answers),
-			Answers: toAnswers(answers),
 		})
+		issueAnswers = append(issueAnswers, answers)
 	}
 	s.stats.recordReport(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	frags := s.reg.fragments(name)
+	writeRendered(w, http.StatusOK, func(b bodyWriter) error { return b.report(frags, &resp, issueAnswers) })
 }
 
 // handleAdminReload synchronously rebuilds and hot-swaps advisors through
@@ -644,22 +646,31 @@ var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledJSON = 1 << 20
 
+// putJSONBuf returns a render buffer to jsonBufs.
+func putJSONBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledJSON {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// render to a buffer first so marshal errors become clean 500s
 	buf := jsonBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledJSON {
-			buf.Reset()
-			jsonBufs.Put(buf)
-		}
-	}()
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	defer putJSONBuf(buf)
+	if err := newEncoder(buf).Encode(v); err != nil {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	writeBuffered(w, status, buf)
+}
+
+// writeBuffered writes a fully rendered JSON body. The Content-Length lets
+// the server send it in one piece instead of chunk-encoding large bodies.
+func writeBuffered(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = buf.WriteTo(w)
 }

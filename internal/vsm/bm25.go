@@ -1,9 +1,10 @@
 package vsm
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/textproc"
@@ -142,6 +143,6 @@ func (b *BM25) query(terms []string) []entry {
 			q = append(q, entry{term: id, weight: 1})
 		}
 	}
-	sort.Slice(q, func(i, j int) bool { return q[i].term < q[j].term })
+	slices.SortFunc(q, func(a, b entry) int { return cmp.Compare(a.term, b.term) })
 	return q
 }

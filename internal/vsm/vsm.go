@@ -18,9 +18,11 @@
 package vsm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -276,7 +278,7 @@ func (ix *Index) vectorize(terms []string) []entry {
 	// sort before accumulating the norm: map iteration order is random, and
 	// summing in term order keeps vectorization bit-deterministic across
 	// calls (identical queries must produce identical vectors and scores)
-	sort.Slice(vec, func(a, b int) bool { return vec[a].term < vec[b].term })
+	slices.SortFunc(vec, func(a, b entry) int { return cmp.Compare(a.term, b.term) })
 	normalize(vec)
 	return vec
 }
@@ -405,11 +407,11 @@ func (ix *Index) observe(start time.Time) {
 }
 
 func sortMatches(m []Match) {
-	sort.Slice(m, func(a, b int) bool {
-		if m[a].Score != m[b].Score {
-			return m[a].Score > m[b].Score
+	slices.SortFunc(m, func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return m[a].Index < m[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 }
 

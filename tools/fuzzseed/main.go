@@ -1,6 +1,7 @@
 // Command fuzzseed regenerates the checked-in seed corpora for the fuzz
-// targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzLoadAdvisor) from the
-// three built-in synthetic guides. Run from the repository root:
+// targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzRenderAnswers,
+// FuzzLoadAdvisor, FuzzTopKParity) from the three built-in synthetic
+// guides. Run from the repository root:
 //
 //	go run ./tools/fuzzseed
 //
@@ -16,6 +17,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -54,6 +56,30 @@ func main() {
 	write("internal/htmldoc/testdata/fuzz/FuzzTokenize", html)
 	write("internal/depparse/testdata/fuzz/FuzzParse", sentences)
 	write("internal/service/testdata/fuzz/FuzzQuery", queries)
+
+	// response-rendering seeds: guide sentences and their section paths as
+	// rule text and section, Table-6 queries, and scores in each float
+	// format encoding/json uses (plain, exponent, and the NaN it rejects)
+	var renders []renderSeed
+	scores := []float64{0.4142135623730951, 0.15, 1, 0, 3.2e-7, 1e21, math.NaN()}
+	for name, reg := range guides {
+		g := corpus.GenerateSized(reg, 60, 0.3, 11)
+		for i, s := range g.Sentences {
+			if i >= 4 {
+				break
+			}
+			q := corpus.CUDAQueries()[i].Text
+			section := ""
+			if s.Section >= 0 && s.Section < len(g.Doc.Sections) {
+				section = g.Doc.Sections[s.Section].Path()
+			}
+			renders = append(renders, renderSeed{fmt.Sprintf("%s_rule_%02d", name, i), s.Text, section, q, math.Float64bits(scores[i])})
+		}
+	}
+	for i, sc := range scores[4:] {
+		renders = append(renders, renderSeed{fmt.Sprintf("score_%02d", i), "Use shared memory.", "", "bank conflicts", math.Float64bits(sc)})
+	}
+	writeRender("internal/service/testdata/fuzz/FuzzRenderAnswers", renders)
 
 	// top-k parity seeds: realistic guide corpora × guide queries, across
 	// the k / threshold / shard-count axes (tiny k, k past the corpus size,
@@ -209,6 +235,31 @@ func writeTopK(dir string, seeds []topkSeed) {
 			"int(" + strconv.Itoa(s.k) + ")\n" +
 			"float64(" + strconv.FormatFloat(s.threshold, 'g', -1, 64) + ")\n" +
 			"int(" + strconv.Itoa(s.shards) + ")\n"
+		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+	log.Printf("%s: %d seeds", dir, len(seeds))
+}
+
+// renderSeed is one FuzzRenderAnswers input: rule text and section, a
+// query, and the score's float64 bits.
+type renderSeed struct {
+	name, text, section, query string
+	scoreBits                  uint64
+}
+
+// writeRender emits FuzzRenderAnswers's four-argument corpus files.
+func writeRender(dir string, seeds []renderSeed) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range seeds {
+		body := "go test fuzz v1\n" +
+			"string(" + strconv.Quote(s.text) + ")\n" +
+			"string(" + strconv.Quote(s.section) + ")\n" +
+			"string(" + strconv.Quote(s.query) + ")\n" +
+			"uint64(" + strconv.FormatUint(s.scoreBits, 10) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
